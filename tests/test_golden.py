@@ -1,0 +1,35 @@
+"""Pinned report bytes for cheap CLI commands.
+
+The expected files under ``tests/data/golden/`` hold the exact stdout of
+each command.  A refactor that changes any report byte (a value, a
+witness entry, a radius, key order or whitespace) fails here, which a
+comparison of two runs of the same code cannot catch.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fillprobe.cli import main
+from fillprobe.complexes import clear_memo
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = {
+    "fill_z2_commutator_r2": ["--radius-cap", "3", "fill", "Z2", "a b a^-1 b^-1",
+                              "--radius", "2"],
+    "probe_amenable_f2": ["probe", "amenable", "F2", "--radii", "2,3"],
+    "probe_hyperbolic_z2_k6": ["probe", "hyperbolic", "Z2", "--k-max", "6"],
+    "probe_hyperbolic_z2_sampled_seed3": ["--seed", "3", "probe", "hyperbolic", "Z2",
+                                          "--mode", "sampled", "--k-max", "8"],
+    "ball_s2_r2": ["ball", "S2", "--radius", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, capsys):
+    clear_memo()
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
