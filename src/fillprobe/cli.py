@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled circuit generation")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker pool size for independent probe jobs")
+                        help="accepted for compatibility and echoed in reports; "
+                             "has no effect")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="stdout format for table-producing commands")
     parser.add_argument("--out", default=None,
@@ -154,8 +155,6 @@ def _config(args) -> ProbeConfig:
         walk_cap=args.walk_cap,
         node_budget=args.node_budget,
         sample_walks=500,
-        pivot_rule="bland",
-        workers=args.workers,
         cache_dir=args.cache_dir or os.environ.get("FILLPROBE_CACHE_DIR"),
     )
 

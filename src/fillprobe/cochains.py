@@ -254,37 +254,22 @@ def coboundary(c):
     """
     if c.degree + 1 > MAX_DEGREE:
         raise ValueError(f"degree cap {MAX_DEGREE} exceeded")
-    G = c.group
+    if isinstance(c, PlainCochain):
+        def face_value(face):
+            return c.values[face]
+    elif isinstance(c, EquivariantCochain):
+        def face_value(face, g):
+            return c.values[face][g]
+    else:
+        raise TypeError("expected a cochain")
     zero_vec = tuple([Q(0)] * c.dim)
 
-    if isinstance(c, PlainCochain):
-        def value(cell):
-            acc = list(zero_vec)
-            for i in range(len(cell)):
-                sub = c.values[cell[:i] + cell[i + 1:]]
-                if i % 2 == 0:
-                    for t, a in enumerate(sub):
-                        acc[t] += a
-                else:
-                    for t, a in enumerate(sub):
-                        acc[t] -= a
-            return tuple(acc)
+    def value(cell, *g):
+        acc = list(zero_vec)
+        for i in range(len(cell)):
+            sign = -1 if i % 2 else 1
+            for t, a in enumerate(face_value(cell[:i] + cell[i + 1:], *g)):
+                acc[t] += sign * a
+        return tuple(acc)
 
-        return PlainCochain.build(G, c.degree + 1, c.dim, value)
-
-    if isinstance(c, EquivariantCochain):
-        def value(cell, g):
-            acc = list(zero_vec)
-            for i in range(len(cell)):
-                sub = c.values[cell[:i] + cell[i + 1:]][g]
-                if i % 2 == 0:
-                    for t, a in enumerate(sub):
-                        acc[t] += a
-                else:
-                    for t, a in enumerate(sub):
-                        acc[t] -= a
-            return tuple(acc)
-
-        return EquivariantCochain.build(G, c.degree + 1, c.dim, value)
-
-    raise TypeError("expected a cochain")
+    return type(c).build(c.group, c.degree + 1, c.dim, value)

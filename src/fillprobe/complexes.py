@@ -206,12 +206,13 @@ class TwoComplex:
         return Chain(0, out)
 
 
-def _trace_relator(ball: CayleyBall, base: int, relator) -> dict | None:
-    """Signed edge traversals of the relator loop at base, or None if
-    the loop leaves the ball."""
+def _walk(ball: CayleyBall, start: int, word) -> tuple[dict, int] | None:
+    """Signed edge traversals (plain ints, zeros dropped) of the walk
+    spelled by ``word`` from ``start``, and its end vertex; None if some
+    prefix leaves the ball."""
     coeffs: dict = {}
-    cur = base
-    for x in relator:
+    cur = start
+    for x in word:
         nxt = ball.neighbors[cur].get(x)
         if nxt is None:
             return None
@@ -222,11 +223,7 @@ def _trace_relator(ball: CayleyBall, base: int, relator) -> dict | None:
             e = ball.edge_index[(nxt, -x)]
             coeffs[e] = coeffs.get(e, 0) - 1
         cur = nxt
-    if cur != base:
-        raise IncompleteSystemError(
-            "relator loop does not close under this rewriting system; "
-            "the rules and the relators disagree about the group")
-    return {e: c for e, c in coeffs.items() if c}
+    return {e: c for e, c in coeffs.items() if c}, cur
 
 
 def _sign_canonical(col: dict):
@@ -242,7 +239,14 @@ def attach_cells(ball: CayleyBall, presentation: GroupPresentation) -> TwoComple
     candidates = []
     for v in range(ball.num_vertices):
         for ri, rel in enumerate(presentation.relators):
-            col = _trace_relator(ball, v, rel)
+            walk = _walk(ball, v, rel)
+            if walk is None:
+                continue
+            col, end = walk
+            if end != v:
+                raise IncompleteSystemError(
+                    "relator loop does not close under this rewriting system; "
+                    "the rules and the relators disagree about the group")
             if not col:
                 continue
             layer = max(max(ball.depth[ball.edges[e][0]],
@@ -286,6 +290,22 @@ class Circuit:
     length: int
 
 
+def add_circuit(found: dict, ball: CayleyBall, steps) -> None:
+    """Record the closed walk ``steps`` ((edge id, sign) pairs) in ``found``
+    under its sign-canonical edge chain.  Walks whose chain is zero or
+    already recorded (e.g. the reversed orientation) are skipped."""
+    coeffs: dict = {}
+    for e, sign in steps:
+        coeffs[e] = coeffs.get(e, 0) + sign
+    col = {e: c for e, c in coeffs.items() if c}
+    if not col:
+        return
+    key = _sign_canonical(col)
+    if key not in found:
+        letters = tuple(ball.edges[e][1] * sign for e, sign in steps)
+        found[key] = Circuit(Chain(1, col), letters, len(steps))
+
+
 def enumerate_circuits(ball: CayleyBall, max_len: int,
                        *, walk_cap: int = DEFAULT_WALK_CAP) -> list:
     """All simple circuits based at the identity of length <= max_len,
@@ -300,24 +320,6 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
     path_edges: list = []
     on_path = {0}
 
-    def letters_of(edge_steps):
-        out = []
-        for e, sign in edge_steps:
-            g = ball.edges[e][1]
-            out.append(g if sign > 0 else -g)
-        return tuple(out)
-
-    def record():
-        coeffs: dict = {}
-        for e, sign in path_edges:
-            coeffs[e] = coeffs.get(e, 0) + sign
-        chain = Chain(1, coeffs)
-        if chain.is_zero():
-            return
-        key = _sign_canonical({e: int(c) for e, c in chain.entries.items()})
-        if key not in results:
-            results[key] = Circuit(chain, letters_of(path_edges), len(path_edges))
-
     def dfs(v: int):
         nonlocal steps
         for e, sign, w in adj[v]:
@@ -329,7 +331,7 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
             if w == 0:
                 if used >= 3:
                     path_edges.append((e, sign))
-                    record()
+                    add_circuit(results, ball, path_edges)
                     path_edges.pop()
                 continue
             if w in on_path or used + depth[w] > max_len:
@@ -341,9 +343,7 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
             on_path.remove(w)
 
     dfs(0)
-    circuits = list(results.values())
-    circuits.sort(key=lambda c: (c.length, c.letters))
-    return circuits
+    return sorted(results.values(), key=lambda c: (c.length, c.letters))
 
 
 def complex_to_json(complex_: TwoComplex) -> str:
@@ -396,6 +396,20 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
 _MEMO: dict = {}
 
 
+def _write_replacing(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename
+    it over ``path``, so readers never see a partial file."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _cache_key(presentation: GroupPresentation, rws: RewritingSystem, radius: int) -> str:
     digest = hashlib.sha256(
         (presentation.content_key() + "\n" + rws.rules_key()).encode()).hexdigest()[:16]
@@ -409,7 +423,8 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
 
     In-process memoization always applies; if ``cache_dir`` (or the
     FILLPROBE_CACHE_DIR environment variable) is set, complexes are also
-    persisted as coordinate-form JSON.
+    persisted as coordinate-form JSON.  Files are replaced atomically, and
+    a file that does not load (e.g. truncated) is rebuilt and rewritten.
     """
     key = _cache_key(presentation, rws, radius)
     complex_ = _MEMO.get(key)
@@ -417,15 +432,16 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
         cache_dir = cache_dir or os.environ.get("FILLPROBE_CACHE_DIR")
         path = os.path.join(cache_dir, key + ".json") if cache_dir else None
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                complex_ = complex_from_json(fh.read(), presentation)
-        else:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    complex_ = complex_from_json(fh.read(), presentation)
+            except (ValueError, KeyError, TypeError, IndexError):
+                complex_ = None
+        if complex_ is None:
             ball = build_ball(presentation, rws, radius, vertex_cap=vertex_cap)
             complex_ = attach_cells(ball, presentation)
             if path:
-                os.makedirs(cache_dir, exist_ok=True)
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(complex_to_json(complex_))
+                _write_replacing(path, complex_to_json(complex_))
         _MEMO[key] = complex_
     # cached copies must still honor the caller's cap, or results would
     # depend on what happened to be built earlier in the process
@@ -444,17 +460,7 @@ def word_to_edge_chain(ball: CayleyBall, word) -> Chain:
 
     Every prefix of the walk must stay inside the ball.
     """
-    coeffs: dict = {}
-    cur = 0
-    for x in word:
-        nxt = ball.neighbors[cur].get(x)
-        if nxt is None:
-            raise ResourceLimitError("walk leaves the ball; enlarge the radius")
-        if x > 0:
-            e = ball.edge_index[(cur, x)]
-            coeffs[e] = coeffs.get(e, 0) + 1
-        else:
-            e = ball.edge_index[(nxt, -x)]
-            coeffs[e] = coeffs.get(e, 0) - 1
-        cur = nxt
-    return Chain(1, {e: Q(c) for e, c in coeffs.items()})
+    walk = _walk(ball, 0, word)
+    if walk is None:
+        raise ResourceLimitError("walk leaves the ball; enlarge the radius")
+    return Chain(1, walk[0])

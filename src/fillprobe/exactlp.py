@@ -2,9 +2,8 @@
 
 The core is a dense-tableau two-phase simplex over exact rationals with
 native lower/upper variable bounds (bound flips instead of extra rows).
-Bland's rule is the default pivot rule for its termination guarantee;
-"dantzig" (largest reduced cost) is available behind a flag and falls
-back to Bland after a run of degenerate pivots.  Integer programs are
+Pivoting follows Bland's rule (first improving column, smallest leaving
+index on ties) for its termination guarantee.  Integer programs are
 solved by depth-first branch and bound on variable bounds, each node
 relaxation solved exactly.
 
@@ -144,7 +143,7 @@ class _BoundedSimplex:
 
     # -- main entry ------------------------------------------------------
 
-    def solve(self, pivot_rule="bland"):
+    def solve(self):
         zero = Q(0)
         m, n = self.m, self.n
         # initial nonbasic point: every structural variable at its lower bound
@@ -186,7 +185,7 @@ class _BoundedSimplex:
                 if t:
                     tot += t
             D[j] = -tot
-        outcome = self._iterate(D, pivot_rule, phase=1)
+        outcome = self._iterate(D, phase=1)
         if outcome == "unbounded":
             raise SolverError("phase 1 reported an unbounded objective")
         infeas = zero
@@ -211,7 +210,7 @@ class _BoundedSimplex:
                 if t:
                     red -= cost * t
             D[j] = red
-        outcome = self._iterate(D, pivot_rule, phase=2)
+        outcome = self._iterate(D, phase=2)
         if outcome == "unbounded":
             return LPStatus.UNBOUNDED, None, None
 
@@ -284,15 +283,12 @@ class _BoundedSimplex:
             self.status[old] = AT_LOWER
         return old
 
-    def _iterate(self, D, pivot_rule, phase):
-        """Pivot until no improving nonbasic candidate remains."""
+    def _iterate(self, D, phase):
+        """Pivot until no improving nonbasic candidate remains; the
+        entering variable is the first improving one (Bland)."""
         zero = Q(0)
         n_total = self.ncols
-        degenerate_run = 0
-        forced_bland = pivot_rule == "bland"
         while True:
-            entering, sigma = None, 0
-            best_mag = zero
             for j in range(n_total):
                 if self.status[j] == BASIC or j in self.banned:
                     continue
@@ -300,19 +296,13 @@ class _BoundedSimplex:
                     continue
                 d = D[j]
                 if self.status[j] == AT_LOWER and d < 0:
-                    mag, sg = -d, 1
-                elif self.status[j] == AT_UPPER and d > 0:
-                    mag, sg = d, -1
-                else:
-                    continue
-                if forced_bland:
-                    entering, sigma = j, sg
+                    sg = 1
                     break
-                if mag > best_mag:
-                    entering, sigma, best_mag = j, sg, mag
-            if entering is None:
+                if self.status[j] == AT_UPPER and d > 0:
+                    sg = -1
+                    break
+            else:
                 return "optimal"
-            j, sg = entering, sigma
 
             beta = self._basic_values()
             # own-gap candidate: flip to the opposite bound
@@ -342,12 +332,6 @@ class _BoundedSimplex:
                     leaving_to = hits
             if limit is None:
                 return "unbounded"
-            if limit == 0:
-                degenerate_run += 1
-                if not forced_bland and degenerate_run > 50 + self.m:
-                    forced_bland = True
-            else:
-                degenerate_run = 0
 
             self.pivots += 1
             if leaving_row is None:
@@ -380,12 +364,11 @@ def _verify_equalities(rows, rhs, values):
             raise SolverError(f"witness violates constraint {i}")
 
 
-def solve_lp(lp: LinearProgram, *, pivot_rule: str = "bland") -> LPResult:
+def solve_lp(lp: LinearProgram) -> LPResult:
     """Exact optimum of a standard-form LP at a basic feasible solution."""
     simplex = _BoundedSimplex(list(lp.rows), list(lp.rhs), list(lp.objective),
                               [Q(0)] * lp.num_vars, [None] * lp.num_vars)
-    outcome = simplex.solve(pivot_rule)
-    status, values, obj = outcome
+    status, values, obj = simplex.solve()
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, pivots=simplex.pivots)
     _verify_equalities(lp.rows, lp.rhs, values)
@@ -401,13 +384,13 @@ def solve_lp(lp: LinearProgram, *, pivot_rule: str = "bland") -> LPResult:
     return LPResult(LPStatus.OPTIMAL, obj, witness, simplex.pivots)
 
 
-def _solve_bounded(lp: LinearProgram, lower, upper, pivot_rule):
+def _solve_bounded(lp: LinearProgram, lower, upper):
     for lo, up in zip(lower, upper):
         if up is not None and up < lo:
             return LPStatus.INFEASIBLE, None, None, 0
     simplex = _BoundedSimplex(list(lp.rows), list(lp.rhs), list(lp.objective),
                               list(lower), list(upper))
-    status, values, obj = simplex.solve(pivot_rule)
+    status, values, obj = simplex.solve()
     return status, values, obj, simplex.pivots
 
 
@@ -416,8 +399,7 @@ def _is_integer(v) -> bool:
 
 
 def solve_ilp(lp: LinearProgram, integrality=None, *,
-              node_budget: int = DEFAULT_NODE_BUDGET,
-              pivot_rule: str = "bland") -> LPResult:
+              node_budget: int = DEFAULT_NODE_BUDGET) -> LPResult:
     """Branch and bound over exact LP relaxations.
 
     ``integrality``: per-variable mask; None means every variable.
@@ -452,7 +434,7 @@ def solve_ilp(lp: LinearProgram, integrality=None, *,
                 limit=node_budget, lower=lower_bound,
                 upper=incumbent_value,
                 witness=incumbent)
-        status, values, obj, pivots = _solve_bounded(lp, lower, upper, pivot_rule)
+        status, values, obj, pivots = _solve_bounded(lp, lower, upper)
         total_pivots += pivots
         if status is LPStatus.UNBOUNDED:
             if nodes == 1:
@@ -505,8 +487,7 @@ def solve_ilp(lp: LinearProgram, integrality=None, *,
     return LPResult(LPStatus.OPTIMAL, incumbent_value, dict(incumbent), total_pivots)
 
 
-def solve_minmax(rows, rhs, num_vars: int, free=None, *,
-                 pivot_rule: str = "bland") -> LPResult:
+def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
     """min t  such that  A x = b  and |x_i| <= t for every variable.
 
     Variables flagged False in ``free`` are constrained to [0, t]
@@ -562,7 +543,7 @@ def solve_minmax(rows, rhs, num_vars: int, free=None, *,
 
     simplex = _BoundedSimplex(sim_rows, rhs=[Q(0)] * len(rows),
                               objective=objective, lower=lower, upper=upper)
-    status, values, obj = simplex.solve(pivot_rule)
+    status, values, obj = simplex.solve()
     if status is LPStatus.UNBOUNDED:
         raise SolverError("homogenized min-max cannot be unbounded for nonzero rhs")
     if status is not LPStatus.OPTIMAL:

@@ -111,26 +111,17 @@ def _witness_chain(num_cells: int, witness: dict) -> Chain:
     return Chain(2, entries)
 
 
-def is_boundary(b: Chain, complex_: TwoComplex, *,
-                pivot_rule: str = "bland") -> BoundaryCheck:
-    """LP feasibility of d2 a = b within the ball.
+def is_boundary(b: Chain, complex_: TwoComplex) -> BoundaryCheck:
+    """Whether d2 a = b has a solution within the ball; the witness is a
+    minimal rational filling.
 
     A negative answer never certifies that b fails to bound in the full
     complex; it only says no filling exists at this truncation.
     """
-    _require_cycle(b, complex_)
-    if b.is_zero():
-        return BoundaryCheck(True, Chain(2, {}))
-    lp = _filling_program(b, complex_)
-    if lp is None:
+    try:
+        return BoundaryCheck(True, filling_norm_q(b, complex_).witness)
+    except NotABoundaryError:
         return BoundaryCheck(False)
-    feasibility = LinearProgram.make(lp.num_vars, lp.rows, lp.rhs,
-                                     [Q(0)] * lp.num_vars)
-    result = solve_lp(feasibility, pivot_rule=pivot_rule)
-    if result.status is LPStatus.INFEASIBLE:
-        return BoundaryCheck(False)
-    witness = _witness_chain(complex_.num_cells, result.witness)
-    return BoundaryCheck(True, witness)
 
 
 def _certificate(b: Chain, complex_: TwoComplex, ring: str, value, witness: Chain,
@@ -146,8 +137,7 @@ def _certificate(b: Chain, complex_: TwoComplex, ring: str, value, witness: Chai
                               status, stabilized)
 
 
-def filling_norm_q(b: Chain, complex_: TwoComplex, *,
-                   pivot_rule: str = "bland") -> FillingCertificate:
+def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     """Minimal l1 mass of a rational filling within the ball."""
     _require_cycle(b, complex_)
     if b.is_zero():
@@ -155,7 +145,7 @@ def filling_norm_q(b: Chain, complex_: TwoComplex, *,
     lp = _filling_program(b, complex_)
     if lp is None:
         raise NotABoundaryError("no filling within this ball (uncovered edge)")
-    result = solve_lp(lp, pivot_rule=pivot_rule)
+    result = solve_lp(lp)
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no filling within this ball")
     witness = _witness_chain(complex_.num_cells, result.witness)
@@ -163,8 +153,7 @@ def filling_norm_q(b: Chain, complex_: TwoComplex, *,
 
 
 def filling_norm_z(b: Chain, complex_: TwoComplex, *,
-                   node_budget: int = 100_000,
-                   pivot_rule: str = "bland") -> FillingCertificate:
+                   node_budget: int = 100_000) -> FillingCertificate:
     """Minimal l1 mass of an integral filling within the ball (ILP)."""
     _require_cycle(b, complex_)
     if not b.is_integral():
@@ -174,7 +163,7 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
     lp = _filling_program(b, complex_)
     if lp is None:
         raise NotABoundaryError("no filling within this ball (uncovered edge)")
-    result = solve_ilp(lp, node_budget=node_budget, pivot_rule=pivot_rule)
+    result = solve_ilp(lp, node_budget=node_budget)
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no integral filling within this ball")
     witness = _witness_chain(complex_.num_cells, result.witness)
@@ -193,7 +182,6 @@ def norm_with_escalation(b: Chain, presentation: GroupPresentation,
                          ring: str = RING_Q,
                          vertex_cap: int = 200_000,
                          node_budget: int = 100_000,
-                         pivot_rule: str = "bland",
                          cache_dir: str | None = None) -> FillingCertificate:
     """Compute the norm at growing radii, stopping once the value repeats
     at two consecutive radii.
@@ -218,10 +206,9 @@ def norm_with_escalation(b: Chain, presentation: GroupPresentation,
             continue
         try:
             if ring == RING_Z:
-                cert = filling_norm_z(b, complex_, node_budget=node_budget,
-                                      pivot_rule=pivot_rule)
+                cert = filling_norm_z(b, complex_, node_budget=node_budget)
             else:
-                cert = filling_norm_q(b, complex_, pivot_rule=pivot_rule)
+                cert = filling_norm_q(b, complex_)
         except NotABoundaryError as exc:
             last_error = exc
             previous = None

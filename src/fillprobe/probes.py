@@ -12,11 +12,10 @@ classifies the trend of that optimum.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .complexes import Chain, Circuit, enumerate_circuits, get_complex
-from .errors import FillprobeError, ResourceLimitError
+from .complexes import Circuit, add_circuit, enumerate_circuits, get_complex
+from .errors import ResourceLimitError
 from .exactlp import LPStatus, solve_minmax
 from .filling import norm_with_escalation
 from .presentation import GroupPresentation, word_to_text
@@ -54,8 +53,6 @@ class ProbeConfig:
     node_budget: int = 100_000
     escalation_margin: int = 1
     sample_walks: int = 500
-    pivot_rule: str = "bland"
-    workers: int = 1
     cache_dir: str | None = None
 
 
@@ -144,24 +141,9 @@ def _sampled_circuits(ball, k_max: int, seed: int, budget: int):
             v = w
             if v == 0 and len(steps) >= 3:
                 break
-        if v != 0 or len(steps) < 3:
-            continue
-        coeffs: dict = {}
-        for e, s in steps:
-            coeffs[e] = coeffs.get(e, 0) + s
-        chain = Chain(1, coeffs)
-        if chain.is_zero() or chain.l1() > k_max:
-            continue
-        items = tuple(sorted((e, int(c)) for e, c in chain.entries.items()))
-        if items and items[0][1] < 0:
-            items = tuple((e, -c) for e, c in items)
-        if items not in found:
-            letters = tuple(ball.edges[e][1] if s > 0 else -ball.edges[e][1]
-                            for e, s in steps)
-            found[items] = Circuit(chain, letters, len(steps))
-    circuits = list(found.values())
-    circuits.sort(key=lambda c: (c.length, c.letters))
-    return circuits
+        if v == 0 and len(steps) >= 3:
+            add_circuit(found, ball, steps)
+    return sorted(found.values(), key=lambda c: (c.length, c.letters))
 
 
 def estimate_fv(presentation: GroupPresentation, rws: RewritingSystem,
@@ -190,31 +172,17 @@ def estimate_fv(presentation: GroupPresentation, rws: RewritingSystem,
     else:
         circuits = _sampled_circuits(ball, k_max, seed, cfg.sample_walks)
 
-    def norm_of(circuit: Circuit):
-        reach = _circuit_reach(ball, circuit)
-        r0 = max(reach, 1)
-        return norm_with_escalation(
-            circuit.chain, presentation, rws, r0, r0 + cfg.escalation_margin,
-            vertex_cap=cfg.vertex_cap, node_budget=cfg.node_budget,
-            pivot_rule=cfg.pivot_rule, cache_dir=cfg.cache_dir)
-
-    certs = [None] * len(circuits)
-
-    def run(i):
+    certs = []
+    for circuit in circuits:
+        r0 = max(_circuit_reach(ball, circuit), 1)
         try:
-            return i, norm_of(circuits[i]), None
-        except ResourceLimitError as exc:
-            return i, None, exc
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(run, range(len(circuits))))
-    else:
-        outcomes = [run(i) for i in range(len(circuits))]
-    for i, cert, err in sorted(outcomes, key=lambda o: o[0]):
-        if err is not None:
+            certs.append(norm_with_escalation(
+                circuit.chain, presentation, rws, r0, r0 + cfg.escalation_margin,
+                vertex_cap=cfg.vertex_cap, node_budget=cfg.node_budget,
+                cache_dir=cfg.cache_dir))
+        except ResourceLimitError:
             est.capped = True
-        certs[i] = cert
+            certs.append(None)
 
     masses = [c.chain.l1() for c in circuits]
     for k in range(3, k_max + 1):
@@ -410,7 +378,8 @@ def probe_amenability(presentation: GroupPresentation, rws: RewritingSystem,
                       radii, *, config: ProbeConfig | None = None,
                       presentation_id: str = "") -> AmenabilityProbe:
     """Per radius, minimize the sup-norm of a 1-chain depositing one unit
-    at every interior vertex; classify the trend of the optima."""
+    at every interior vertex; classify the trend of the optima.  A radius
+    whose ball exceeds a cap gives a "capped" row."""
     cfg = config or ProbeConfig()
     radii = tuple(sorted(set(int(r) for r in radii)))
     if not radii or radii[0] < 1:
@@ -435,26 +404,17 @@ def probe_amenability(presentation: GroupPresentation, rws: RewritingSystem,
                 rows[i][e] = rows[i].get(e, Q(0)) - 1
         rows = [{e: v for e, v in row.items() if v} for row in rows]
         rhs = [Q(1)] * len(interior)
-        result = solve_minmax(rows, rhs, ball.num_edges,
-                              pivot_rule=cfg.pivot_rule)
+        result = solve_minmax(rows, rhs, ball.num_edges)
         if result.status is LPStatus.OPTIMAL:
             return AmenabilityRow(result.value, "optimal", len(interior),
                                   ball.num_edges, len(result.witness))
         return AmenabilityRow(None, "infeasible", len(interior), ball.num_edges)
 
-    def run(radius):
+    for radius in radii:
         try:
-            return radius, solve_radius(radius)
-        except (ResourceLimitError, FillprobeError):
-            return radius, AmenabilityRow(None, "capped", 0, 0)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(run, radii))
-    else:
-        outcomes = [run(r) for r in radii]
-    for radius, row in sorted(outcomes):
-        probe.table[radius] = row
+            probe.table[radius] = solve_radius(radius)
+        except ResourceLimitError:
+            probe.table[radius] = AmenabilityRow(None, "capped", 0, 0)
 
     ordered = [probe.table[r] for r in radii]
     if all(row.status == "optimal" for row in ordered):

@@ -16,7 +16,7 @@ try:
         return _mpq(num, den)
 
     RationalType = type(_mpq(0))
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:  # no gmpy2: Fraction is the backend in use
     def Q(num=0, den=1):
         return Fraction(num, den)
 

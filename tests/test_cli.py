@@ -255,3 +255,34 @@ def test_cache_dir_roundtrip(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert first == second
     clear_memo()
+
+
+def test_cache_dir_recovers_from_truncated_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "--radius-cap", "3",
+            "fill", "Z2", "a b a^-1 b^-1", "--radius", "2"]
+    clear_memo()
+    code, clean = run_cli(capsys, *args)
+    assert code == 0
+    (r2,) = cache.glob("*_r2.json")
+    r2.write_bytes(r2.read_bytes()[:99])
+    for _ in range(2):
+        clear_memo()
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == clean
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        p.name for p in cache.glob("*.json"))
+    clear_memo()
+
+
+def test_probe_amenable_vertex_cap_gives_capped_row(capsys):
+    # Z2 balls of radius 2, 3, 4 have 13, 25 and 41 vertices
+    code, out = run_cli(capsys, "--vertex-cap", "30",
+                        "probe", "amenable", "Z2", "--radii", "2,3,4")
+    assert code == 5
+    report = json.loads(out)["report"]
+    assert report["table"]["2"]["status"] == "optimal"
+    assert report["table"]["3"]["status"] == "optimal"
+    assert report["table"]["4"]["status"] == "capped"
+    assert report["verdict"] == "Inconclusive"

@@ -228,6 +228,32 @@ def test_disk_cache(tmp_path, z2):
     clear_memo()
 
 
+def test_disk_cache_rebuilds_truncated_file(tmp_path, z2):
+    presentation, rws = z2
+    clear_memo()
+    built = get_complex(presentation, rws, 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    path.write_bytes(good[:99])
+    clear_memo()
+    rebuilt = get_complex(presentation, rws, 2, cache_dir=str(tmp_path))
+    assert rebuilt.ball.edges == built.ball.edges
+    assert rebuilt.d2 == built.d2
+    # the file was rewritten whole, and no temporary file is left behind
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == good
+    clear_memo()
+
+
+def test_word_to_edge_chain_rejects_walk_leaving_ball(z2):
+    presentation, rws = z2
+    ball = build_ball(presentation, rws, 1)
+    # the walk closes up, but its prefix "a a" reaches distance 2
+    with pytest.raises(ResourceLimitError):
+        word_to_edge_chain(ball, presentation.word("a a a^-1 a^-1"))
+    assert word_to_edge_chain(ball, presentation.word("a a^-1")).is_zero()
+
+
 def test_word_to_edge_chain_is_cycle_iff_closed(z2):
     presentation, rws = z2
     ball = build_ball(presentation, rws, 2)

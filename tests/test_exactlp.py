@@ -287,13 +287,3 @@ def test_optimum_matches_basic_solution_enumeration():
             solved += 1
     assert solved >= 25
 
-
-def test_pivot_rules_agree_on_value():
-    rng = random.Random(7)
-    for _ in range(25):
-        problem = _random_feasible_lp(rng)
-        a = solve_lp(problem, pivot_rule="bland")
-        b = solve_lp(problem, pivot_rule="dantzig")
-        assert a.status == b.status
-        if a.optimal:
-            assert a.value == b.value

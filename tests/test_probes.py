@@ -195,14 +195,17 @@ def test_fv_entries_never_grow_with_radius_headroom(z2):
         assert roomy.table[k].value <= snug.table[k].value
 
 
-def test_worker_pool_matches_serial(z2):
-    presentation, rws = z2
-    serial = probe_amenability(presentation, rws, [2, 3],
-                               config=ProbeConfig(workers=1))
-    parallel = probe_amenability(presentation, rws, [2, 3],
-                                 config=ProbeConfig(workers=3))
-    assert serial.to_dict() == parallel.to_dict()
 
-    fv_serial = estimate_fv(presentation, rws, 6, config=ProbeConfig(workers=1))
-    fv_parallel = estimate_fv(presentation, rws, 6, config=ProbeConfig(workers=4))
-    assert fv_serial.to_dict() == fv_parallel.to_dict()
+def test_amenability_propagates_solver_errors(z2, monkeypatch):
+    # only cap hits become "capped" rows; any other package error is a bug
+    # and must surface instead of reading as a capped radius
+    from fillprobe import probes
+    from fillprobe.exactlp import SolverError
+
+    def broken(*args, **kwargs):
+        raise SolverError("simulated inconsistency")
+
+    monkeypatch.setattr(probes, "solve_minmax", broken)
+    presentation, rws = z2
+    with pytest.raises(SolverError):
+        probe_amenability(presentation, rws, [2])
