@@ -424,7 +424,8 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
     In-process memoization always applies; if ``cache_dir`` (or the
     FILLPROBE_CACHE_DIR environment variable) is set, complexes are also
     persisted as coordinate-form JSON.  Files are replaced atomically, and
-    a file that does not load (e.g. truncated) is rebuilt and rewritten.
+    a file that does not load (e.g. truncated) or holds another radius is
+    rebuilt and rewritten.
     """
     key = _cache_key(presentation, rws, radius)
     complex_ = _MEMO.get(key)
@@ -436,6 +437,8 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
                 with open(path, "r", encoding="utf-8") as fh:
                     complex_ = complex_from_json(fh.read(), presentation)
             except (ValueError, KeyError, TypeError, IndexError):
+                complex_ = None
+            if complex_ is not None and complex_.ball.radius != radius:
                 complex_ = None
         if complex_ is None:
             ball = build_ball(presentation, rws, radius, vertex_cap=vertex_cap)

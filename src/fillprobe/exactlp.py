@@ -9,6 +9,14 @@ relaxation solved exactly.
 
 Every Optimal result is verified against its instance (exact residuals,
 exact objective match) before being returned.
+
+The min-max problem of the amenability probe (least t with A x = b and
+|x_j| <= t, A a network matrix) is not solved by the simplex: by Gale's
+supply-demand theorem its optimum is the largest demand-to-capacity
+ratio of a cut, found exactly by Dinkelbach iteration over integer
+Dinic max-flows.  Its results carry two certificates, checked before
+being returned: the flow (an upper bound) and a cut of the same ratio
+(a lower bound), or a cut no column crosses (infeasibility).
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ class LPResult:
     value: object = None
     witness: dict = None
     pivots: int = 0
+    cut: tuple = None           # solve_minmax's lower-bound certificate
 
     @property
     def optimal(self) -> bool:
@@ -487,81 +496,212 @@ def solve_ilp(lp: LinearProgram, integrality=None, *,
     return LPResult(LPStatus.OPTIMAL, incumbent_value, dict(incumbent), total_pivots)
 
 
+def _network_ends(rows, num_vars):
+    """(head, tail) node of every column: the row holding its +1 and the
+    row holding its -1, or the ground node len(rows) where the column has
+    no such entry.
+
+    Raises ValueError naming the first column that is not a network
+    column (a coefficient other than 0, +1, -1, or two entries of one
+    sign)."""
+    ground = len(rows)
+    head = [ground] * num_vars
+    tail = [ground] * num_vars
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if not 0 <= j < num_vars:
+                raise ValueError(f"column {j} out of range")
+            if not a:
+                continue
+            ends = head if a == 1 else tail if a == -1 else None
+            if ends is None or ends[j] != ground:
+                raise ValueError(
+                    f"column {j} is not a network column: it needs at most "
+                    f"one +1 and one -1 entry (row {i} has {qstr(a)})")
+            ends[j] = i
+    return head, tail
+
+
+def _scaled_demands(rhs):
+    """Integer demands L*b_i, L the lcm of the rhs denominators, plus the
+    ground node's demand -sum(L*b_i) last; and L."""
+    scale = math.lcm(*(int(v.denominator) for v in rhs))
+    demands = [int(v.numerator) * (scale // int(v.denominator)) for v in rhs]
+    demands.append(-sum(demands))
+    return demands, scale
+
+
+def _max_flow(adj, to, cap, source, sink):
+    """Dinic's algorithm on integer capacities, augmenting ``cap`` in
+    place.  Arc ``e ^ 1`` is the reverse of arc ``e``.  The search for
+    augmenting paths is iterative, so path length is not limited by the
+    recursion limit.  Returns the flow value and the set of nodes still
+    reachable from the source in the residual network."""
+    n = len(adj)
+    total = 0
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for v in queue:
+            for e in adj[v]:
+                w = to[e]
+                if cap[e] and level[w] < 0:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+        if level[sink] < 0:
+            return total, set(queue)
+        pos = [0] * n
+        path = []
+        v = source
+        while True:
+            if v == sink:
+                f = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                total += f
+                # resume from the tail of the first saturated arc
+                k = next(k for k, e in enumerate(path) if not cap[e])
+                del path[k:]
+                v = to[path[-1]] if path else source
+                continue
+            arcs = adj[v]
+            i = pos[v]
+            nxt = level[v] + 1
+            while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == nxt):
+                i += 1
+            pos[v] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                v = to[arcs[i]]
+            elif v == source:
+                break
+            else:
+                level[v] = -1
+                v = to[path.pop() ^ 1]
+                pos[v] += 1
+
+
+def _verify_cut(rows, rhs, free, cut, t):
+    """Check a lower-bound certificate in integers, from the rows alone.
+
+    For any feasible x the net amount sum_{i in S} b_i entering the node
+    set S (index len(rows) is the ground node) passes through the columns
+    that can carry flow into S, each at most t.  So an optimal t must
+    equal demand(S) / crossing(S), and ``t is None`` (infeasible) needs
+    positive demand with no crossing column."""
+    inside = set(cut)
+    head, tail = _network_ends(rows, len(free))
+    crossing = sum(1 for j in range(len(free))
+                   if (head[j] in inside) != (tail[j] in inside)
+                   and (free[j] or head[j] in inside))
+    demands, scale = _scaled_demands(rhs)
+    demand = sum(demands[i] for i in inside)
+    if t is None:
+        ok = crossing == 0 and demand > 0
+    else:
+        ok = crossing > 0 and demand * int(t.denominator) == \
+            int(t.numerator) * scale * crossing
+    if not ok:
+        raise SolverError("min-max cut certificate does not match its value")
+
+
 def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
-    """min t  such that  A x = b  and |x_i| <= t for every variable.
+    """min t  such that  A x = b  and |x_j| <= t for every variable.
 
     Variables flagged False in ``free`` are constrained to [0, t]
-    instead.  Solved in homogenized form (maximize s with A z = s b and
-    z in the unit box, where x = z/s and t = 1/s), which keeps the row
-    count at the number of equations.
+    instead.  A must be a network matrix: each column holds at most one
+    +1 and at most one -1 (zero entries are ignored), else ValueError.
+    Column j is then an arc carrying x_j from its -1 row to its +1 row;
+    a column with a single entry is attached to a ground node that
+    absorbs the balance -sum(b).
+
+    By Gale's supply-demand theorem the optimum is the largest ratio
+    b(S) / c(S) over node sets S with b(S) > 0, where c(S) counts the
+    columns that can carry flow into S; a set with c(S) = 0 makes the
+    system infeasible.  On the amenability probe's incidence rows this is
+    the largest Folner ratio |S| / |dS|, the bounded-flow/Folner duality
+    of Block-Weinberger.  The optimum is found by Dinkelbach iteration
+    on t = p/q, starting at 0: each round is one Dinic max-flow with
+    integer capacities, q times the scaled demand on each node's source
+    or sink arc and p on each column arc (both ways for a free column).
+    A flow short of the total demand yields a min cut whose ratio is the
+    next t; a saturating flow proves the current t feasible.
+
+    An Optimal result carries the primal witness x = flow / (q L), L the
+    lcm of the rhs denominators, and in ``cut`` the node set of the last
+    short round, a lower-bound certificate with ratio exactly t (None when
+    b = 0 and t = 0).  An Infeasible result's ``cut`` is a set with
+    positive demand and no crossing column.  Both are verified before
+    being returned.
     """
     if free is None:
         free = [True] * num_vars
     if len(free) != num_vars:
         raise ValueError("free mask length mismatch")
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
     rows = [dict(r) for r in rows]
     rhs = [Q(v) for v in rhs]
-    for row in rows:
-        for j in row:
-            if not 0 <= j < num_vars:
-                raise ValueError(f"column {j} out of range")
-
+    head, tail = _network_ends(rows, num_vars)
     if all(v == 0 for v in rhs):
         return LPResult(LPStatus.OPTIMAL, Q(0), {})
 
-    # columns: per free variable a split pair (pos, neg) each in [0,1],
-    # per nonnegative variable a single column in [0,1]; plus s last.
-    col_of = {}
-    ncols = 0
-    for j in range(num_vars):
-        if free[j]:
-            col_of[j] = (ncols, ncols + 1)
-            ncols += 2
-        else:
-            col_of[j] = (ncols, None)
-            ncols += 1
-    s_col = ncols
-    ncols += 1
+    m = len(rows)
+    demands, scale = _scaled_demands(rhs)
+    total_demand = sum(d for d in demands if d > 0)
+    source, sink = m + 1, m + 2
+    # arc 2k runs tail -> head of the k-th nonempty column, 2k+1 back
+    columns = [(j, tail[j], head[j]) for j in range(num_vars) if head[j] != tail[j]]
+    adj = [[] for _ in range(m + 3)]
+    to = []
+    for _, u, v in columns:
+        adj[u].append(len(to))
+        to.append(v)
+        adj[v].append(len(to))
+        to.append(u)
+    for v, d in enumerate(demands):
+        if d:
+            a, b = (v, sink) if d > 0 else (source, v)
+            adj[a].append(len(to))
+            to.append(b)
+            adj[b].append(len(to))
+            to.append(a)
 
-    sim_rows = []
-    for i, row in enumerate(rows):
-        out = {}
-        for j, a in row.items():
-            a = Q(a)
-            pos, neg = col_of[j]
-            out[pos] = out.get(pos, Q(0)) + a
-            if neg is not None:
-                out[neg] = out.get(neg, Q(0)) - a
-        if rhs[i]:
-            out[s_col] = -rhs[i]
-        sim_rows.append({j: v for j, v in out.items() if v})
-    objective = [Q(0)] * ncols
-    objective[s_col] = Q(-1)
-    lower = [Q(0)] * ncols
-    upper = [Q(1)] * ncols
-    upper[s_col] = None
+    p, q, cut = 0, 1, None
+    while True:
+        cap = []
+        for j, _, _ in columns:
+            cap += (p, p if free[j] else 0)
+        for d in demands:
+            if d:
+                cap += (q * abs(d), 0)
+        flow, reached = _max_flow(adj, to, cap, source, sink)
+        if flow == q * total_demand:
+            break
+        cut = tuple(v for v in range(m + 1) if v not in reached)
+        demand = sum(demands[v] for v in cut)
+        crossing = sum(1 for j, u, v in columns
+                       if (u in reached) != (v in reached)
+                       and (free[j] or u in reached))
+        if crossing == 0:
+            _verify_cut(rows, rhs, free, cut, None)
+            return LPResult(LPStatus.INFEASIBLE, cut=cut)
+        g = math.gcd(demand, crossing)
+        p, q = demand // g, crossing // g
 
-    simplex = _BoundedSimplex(sim_rows, rhs=[Q(0)] * len(rows),
-                              objective=objective, lower=lower, upper=upper)
-    status, values, obj = simplex.solve()
-    if status is LPStatus.UNBOUNDED:
-        raise SolverError("homogenized min-max cannot be unbounded for nonzero rhs")
-    if status is not LPStatus.OPTIMAL:
-        return LPResult(status, pivots=simplex.pivots)
-    s = -obj
-    if s == 0:
-        return LPResult(LPStatus.INFEASIBLE, pivots=simplex.pivots)
-    t = 1 / s
+    t = Q(p, q * scale)
     witness = {}
-    for j in range(num_vars):
-        pos, neg = col_of[j]
-        z = values[pos] - (values[neg] if neg is not None else Q(0))
-        if z:
-            witness[j] = z * t
+    for k, (j, _, _) in enumerate(columns):
+        f = p - cap[2 * k]
+        if f:
+            witness[j] = Q(f, q * scale)
     xvals = [witness.get(j, Q(0)) for j in range(num_vars)]
     _verify_equalities(rows, rhs, xvals)
     for j, v in enumerate(xvals):
         mag = v if v >= 0 else -v
         if mag > t or (not free[j] and v < 0):
             raise SolverError("min-max witness violates its bound")
-    return LPResult(LPStatus.OPTIMAL, t, witness, simplex.pivots)
+    _verify_cut(rows, rhs, free, cut, t)
+    return LPResult(LPStatus.OPTIMAL, t, witness, cut=cut)

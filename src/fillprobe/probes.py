@@ -6,7 +6,10 @@ probe tabulates the largest rational filling norm among circuits of
 bounded mass and classifies the growth trend; the amenability probe
 asks, per radius, how small the largest edge coefficient of a 1-chain
 can be when it must deposit one unit at every interior vertex, and
-classifies the trend of that optimum.
+classifies the trend of that optimum.  Boundary-layer vertices are free
+sources.  The optimum equals the largest Folner ratio |S| / |dS| over
+sets S of interior vertices (bounded-flow/Folner duality), and is
+computed exactly as a max-flow/min-cut problem by ``solve_minmax``.
 """
 
 from __future__ import annotations

@@ -275,9 +275,9 @@ def test_criterion_5_fv_table_exactness(z2):
               "the independent cycle enumeration and lattice solve")
 
 
-def test_criterion_6_amenability(f2, z2):
-    probe_f2 = probe_amenability(*f2, radii=[2, 3, 4, 5], presentation_id="F2")
-    for radius in (2, 3, 4, 5):
+def test_criterion_6_amenability(f2, z2, z3):
+    probe_f2 = probe_amenability(*f2, radii=[2, 3, 4, 5, 6, 7], presentation_id="F2")
+    for radius in (2, 3, 4, 5, 6, 7):
         row = probe_f2.table[radius]
         # flow/cut optimum on the 4-regular tree: 1/2 - 3^(1-R)/4
         assert row.value == Q(1, 2) - Q(1, 4 * 3 ** (radius - 1))
@@ -291,7 +291,11 @@ def test_criterion_6_amenability(f2, z2):
         interior = 2 * (radius - 1) ** 2 + 2 * (radius - 1) + 1
         crossing = 8 * radius - 4
         assert value >= Q(interior, crossing)
+    assert values[3] == Q(37, 28)
     assert probe_z2.verdict == "GrowingFlow"
+
+    probe_z3 = probe_amenability(*z3, radii=[2, 3], presentation_id="Z3")
+    assert [probe_z3.table[r].value for r in (2, 3)] == [Q(7, 30), Q(19, 54)]
     report(6, "tree flow stays below 1/2 (BoundedFlow); grid flow grows "
               "strictly with the cut bound (GrowingFlow)")
 

@@ -245,6 +245,24 @@ def test_disk_cache_rebuilds_truncated_file(tmp_path, z2):
     clear_memo()
 
 
+def test_disk_cache_rebuilds_file_of_another_radius(tmp_path, z2):
+    presentation, rws = z2
+    clear_memo()
+    get_complex(presentation, rws, 2, cache_dir=str(tmp_path))
+    built = get_complex(presentation, rws, 3, cache_dir=str(tmp_path))
+    (r2,) = tmp_path.glob("*_r2.json")
+    (r3,) = tmp_path.glob("*_r3.json")
+    good = r3.read_bytes()
+    r3.write_bytes(r2.read_bytes())
+    clear_memo()
+    rebuilt = get_complex(presentation, rws, 3, cache_dir=str(tmp_path))
+    assert rebuilt.ball.radius == 3
+    assert rebuilt.ball.edges == built.ball.edges
+    assert rebuilt.d2 == built.d2
+    assert r3.read_bytes() == good
+    clear_memo()
+
+
 def test_word_to_edge_chain_rejects_walk_leaving_ball(z2):
     presentation, rws = z2
     ball = build_ball(presentation, rws, 1)

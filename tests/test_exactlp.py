@@ -7,6 +7,7 @@ from fillprobe.errors import NodeBudgetError
 from fillprobe.exactlp import (
     LinearProgram,
     LPStatus,
+    _BoundedSimplex,
     solve_ilp,
     solve_lp,
     solve_minmax,
@@ -162,6 +163,107 @@ def test_minmax_nonnegative_mask():
     r_nonneg = solve_minmax([{0: 1, 1: -1}], [2], 2, free=[False, False])
     assert r_nonneg.value == 2
     assert all(v >= 0 for v in r_nonneg.witness.values())
+
+
+def test_minmax_cut_certificates():
+    # two rows joined by one column, each fed by its own ground column
+    r = solve_minmax([{0: 1, 2: 1}, {0: -1, 1: 1}], [1, 2], 3)
+    assert r.optimal and r.value == Q(3, 2)
+    assert r.cut == (0, 1)
+    # a row no column reaches proves infeasibility on its own
+    r = solve_minmax([{0: 1}, {}], [1, Q(1, 3)], 1)
+    assert r.status is LPStatus.INFEASIBLE
+    assert r.cut == (1,)
+
+
+def test_minmax_rejects_non_network_columns():
+    with pytest.raises(ValueError, match="column 1"):
+        solve_minmax([{0: 1, 1: 2}], [1], 2)
+    with pytest.raises(ValueError, match="column 0"):
+        solve_minmax([{0: 1}, {0: 1}], [1, 1], 1)
+    with pytest.raises(ValueError, match="column 3"):
+        solve_minmax([{0: -1, 3: -1}, {3: Q(-1)}], [1, 1], 4)
+    with pytest.raises(ValueError, match="column 5 out of range"):
+        solve_minmax([{5: 1}], [1], 2)
+
+
+def test_minmax_long_path_needs_no_recursion():
+    # ground -> row 0 -> row 1 -> ... -> row n-1: every augmenting path
+    # is longer than the default recursion limit
+    n = 3000
+    rows = [{i: 1, i + 1: -1} for i in range(n)]
+    rows[-1] = {n - 1: 1}
+    rhs = [0] * (n - 1) + [Q(2, 3)]
+    r = solve_minmax(rows, rhs, n, free=[False] * n)
+    assert r.optimal and r.value == Q(2, 3)
+    assert r.witness == {j: Q(2, 3) for j in range(n)}
+    assert n - 1 in r.cut
+
+
+def _homogenized_minmax(rows, rhs, num_vars, free):
+    """The general simplex formulation of min-max: maximize s with
+    A z = s b and z in the unit box, x = z/s and t = 1/s.  Returns the
+    status and t."""
+    col_of, ncols = [], 0
+    for j in range(num_vars):
+        col_of.append((ncols, ncols + 1) if free[j] else (ncols, None))
+        ncols += 2 if free[j] else 1
+    s_col = ncols
+    ncols += 1
+    sim_rows = []
+    for i, row in enumerate(rows):
+        out = {}
+        for j, a in row.items():
+            pos, neg = col_of[j]
+            out[pos] = Q(a)
+            if neg is not None:
+                out[neg] = -Q(a)
+        if rhs[i]:
+            out[s_col] = -Q(rhs[i])
+        sim_rows.append({j: v for j, v in out.items() if v})
+    objective = [Q(0)] * ncols
+    objective[s_col] = Q(-1)
+    upper = [Q(1)] * ncols
+    upper[s_col] = None
+    simplex = _BoundedSimplex(sim_rows, [Q(0)] * len(rows), objective,
+                              [Q(0)] * ncols, upper)
+    status, _, obj = simplex.solve()
+    assert status is LPStatus.OPTIMAL
+    if obj == 0:
+        return LPStatus.INFEASIBLE, None
+    return LPStatus.OPTIMAL, -1 / obj
+
+
+@st.composite
+def network_systems(draw):
+    m = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=8))
+    rows = [dict() for _ in range(m)]
+    ends = st.one_of(st.none(), st.integers(min_value=0, max_value=m - 1)) \
+        if m else st.none()
+    for j in range(n):
+        head, tail = draw(ends), draw(ends)
+        if head is not None:
+            rows[head][j] = 1
+        if tail is not None and tail != head:
+            rows[tail][j] = -1
+    rhs = [Q(draw(st.integers(min_value=-3, max_value=3)),
+             draw(st.integers(min_value=1, max_value=3))) for _ in range(m)]
+    free = [draw(st.booleans()) for _ in range(n)]
+    return rows, rhs, n, free
+
+
+@given(network_systems())
+@settings(max_examples=200, deadline=None)
+def test_minmax_matches_homogenized_simplex(system):
+    rows, rhs, n, free = system
+    result = solve_minmax(rows, rhs, n, free)
+    if all(v == 0 for v in rhs):
+        assert result.optimal and result.value == 0
+        return
+    status, t = _homogenized_minmax(rows, rhs, n, free)
+    assert result.status is status
+    assert result.value == t
 
 
 def test_determinism_same_witness():

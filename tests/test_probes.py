@@ -140,10 +140,11 @@ def test_probe_deterministic(z2):
 
 def test_amenability_f2_exact_values(f2):
     presentation, rws = f2
-    probe = probe_amenability(presentation, rws, [2, 3, 4, 5])
+    probe = probe_amenability(presentation, rws, [2, 3, 4, 5, 6, 7])
     # optimum on the 4-regular tree: 1/2 - 1/(4*3^(R-1)) by flow vs cut
     expected = {radius: Q(1, 2) - Q(1, 4 * 3 ** (radius - 1))
-                for radius in (2, 3, 4, 5)}
+                for radius in (2, 3, 4, 5, 6, 7)}
+    assert expected[6] == Q(485, 972) and expected[7] == Q(1457, 2916)
     for radius, row in probe.table.items():
         assert row.status == "optimal"
         assert row.value == expected[radius]
@@ -156,7 +157,34 @@ def test_amenability_z2_growing(z2):
     probe = probe_amenability(presentation, rws, [2, 3, 4, 5, 6])
     values = [probe.table[r].value for r in sorted(probe.table)]
     assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[:4] == [Q(5, 12), Q(3, 4), Q(21, 20), Q(37, 28)]
     assert probe.verdict == "GrowingFlow"
+
+
+def _largest_folner_ratio(ball, radius):
+    """max |S| / |dS| over nonempty sets S of interior vertices, dS the
+    non-loop edges with exactly one end in S; None if some S has dS empty."""
+    interior = [v for v in range(ball.num_vertices) if ball.depth[v] < radius]
+    best = Q(0)
+    for mask in range(1, 2 ** len(interior)):
+        inside = {v for k, v in enumerate(interior) if mask >> k & 1}
+        crossing = sum(1 for s, _, t in ball.edges
+                       if (s in inside) != (t in inside))
+        if crossing == 0:
+            return None
+        best = max(best, Q(len(inside), crossing))
+    return best
+
+
+@pytest.mark.parametrize("name", ["F2", "Z2", "Z3", "S2"])
+def test_amenability_matches_brute_force_folner_ratio(name):
+    from fillprobe.catalog import load
+    from fillprobe.complexes import get_complex
+    presentation, rws = load(name)
+    probe = probe_amenability(presentation, rws, [1, 2])
+    for radius in (1, 2):
+        ball = get_complex(presentation, rws, radius).ball
+        assert probe.table[radius].value == _largest_folner_ratio(ball, radius)
 
 
 def test_amenability_single_radius_inconclusive(z2):
