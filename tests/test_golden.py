@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = {
     "fill_z2_commutator_r2": ["--radius-cap", "3", "fill", "Z2", "a b a^-1 b^-1",
                               "--radius", "2"],
+    "fill_z3_commutator_r3": ["--radius-cap", "4", "fill", "Z3", "a b c a^-1 b^-1 c^-1",
+                              "--radius", "3"],
     "probe_amenable_f2": ["probe", "amenable", "F2", "--radii", "2,3"],
     "probe_hyperbolic_z2_k6": ["probe", "hyperbolic", "Z2", "--k-max", "6"],
     "probe_hyperbolic_z2_sampled_seed3": ["--seed", "3", "probe", "hyperbolic", "Z2",
