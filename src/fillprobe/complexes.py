@@ -179,6 +179,9 @@ class TwoComplex:
     presentation: GroupPresentation
     cells: list               # (base vertex, relator index) representatives
     d2: list                  # per cell: {edge id: int coefficient}
+    # optimal rational filling LPs solved on this complex, keyed by the
+    # boundary's entries; the integral norm's branch and bound starts here
+    relaxations: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_cells(self) -> int:

@@ -2,8 +2,12 @@
 
 The core is a dense-tableau two-phase simplex over exact rationals with
 native lower/upper variable bounds (bound flips instead of extra rows).
-Pivoting follows Bland's rule (first improving column, smallest leaving
-index on ties) for its termination guarantee.  Integer programs are
+The tableau is fraction-free: each row is a list of Python ints over one
+positive int denominator, eliminated by integer cross-multiplication
+(Edmonds 1967, Bareiss 1968) and reduced by its gcd, so no rational
+object is built per entry; values leave as rationals.  Pivoting follows
+Bland's rule (first improving column, smallest leaving index on ties)
+for its termination guarantee.  Integer programs are
 solved by depth-first branch and bound on variable bounds, each node
 relaxation solved exactly.
 
@@ -103,131 +107,164 @@ class LPResult:
         return self.status is LPStatus.OPTIMAL
 
 
+def _int_row(values):
+    """The rationals ``values`` as ints over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
+
+
+def _combine(row, den, a, b, prow, nz):
+    """The row (row * a - b * prow) / (den * a), as (ints, denominator).
+
+    ``a`` is positive and ``nz`` lists the columns where ``prow`` is
+    nonzero.  With a = 1 only those columns change, in place; otherwise
+    the row is reduced by the gcd of its entries and denominator."""
+    if a == 1:
+        for l in nz:
+            row[l] -= b * prow[l]
+        return row, den
+    row = [x * a - b * y for x, y in zip(row, prow)]
+    den *= a
+    g = math.gcd(den, *row)
+    if g > 1:
+        row = [x // g for x in row]
+        den //= g
+    return row, den
+
+
 class _BoundedSimplex:
-    """min c.x  s.t.  A x = b,  lower <= x <= upper (upper None = +inf)."""
+    """min c.x  s.t.  A x = b,  lower <= x <= upper (upper None = +inf).
+
+    The tableau is fraction-free: row i is a list of Python ints
+    ``T[i]`` over one positive int ``den[i]``, so each entry keeps
+    exactly the rational value T[i][l] / den[i] that a rational tableau
+    would hold, and every pivot choice is the same.  A pivot divides its
+    row by the pivot element and removes the gcd, then eliminates the
+    other rows by integer cross-multiplication; where the pivot row's
+    denominator divides the eliminated entry (always, when it is 1) only
+    the pivot row's nonzero columns change.  The reduced-cost row is
+    held the same way.  Variable bounds are ints over one common
+    denominator ``scale``.  Values leave as rationals (``Q``).
+    """
 
     def __init__(self, rows, rhs, objective, lower, upper):
+        """Coefficients, rhs, costs and bounds are ints or rationals."""
         self.m = len(rows)
         self.n = len(objective)
-        self.rows = [{j: Q(v) for j, v in row.items()} for row in rows]
-        self.rhs = [Q(v) for v in rhs]
-        self.c = [Q(v) for v in objective]
-        self.lower = [Q(v) for v in lower]
-        self.upper = [None if u is None else Q(u) for u in upper]
+        self.rows = rows
+        self.rhs = rhs
+        self.c = objective
         for j in range(self.n):
-            if self.upper[j] is not None and self.upper[j] < self.lower[j]:
+            if upper[j] is not None and upper[j] < lower[j]:
                 raise ValueError("empty variable bound interval")
+        lo, self.scale = _int_row([*lower, *(u for u in upper if u is not None)])
+        self.lower = lo[:self.n]
+        up = iter(lo[self.n:])
+        self.upper = [None if u is None else next(up) for u in upper]
         self.pivots = 0
 
     # -- tableau helpers -------------------------------------------------
 
-    def _basic_values(self):
-        """Current basic variable values from the rhs column and the
-        nonbasic variables sitting at nonzero bounds."""
-        T, beta = self.T, []
-        shift = [(j, self._nb_value(j)) for j in self.nonbasic_nonzero()]
-        last = self.ncols
-        for i in range(self.m):
-            v = T[i][last]
-            row = T[i]
-            for j, val in shift:
-                t = row[j]
-                if t:
-                    v -= t * val
-            beta.append(v)
-        return beta
-
-    def _nb_value(self, j):
-        return self.lower[j] if self.status[j] == AT_LOWER else self.upper[j]
-
-    def nonbasic_nonzero(self):
+    def _shift(self):
+        """(column, scaled bound) of each nonbasic variable sitting at a
+        nonzero bound."""
         out = []
         for j in range(self.ncols):
             s = self.status[j]
             if s == BASIC:
                 continue
-            if (self.lower[j] if s == AT_LOWER else self.upper[j]) != 0:
-                out.append(j)
+            v = self.lower[j] if s == AT_LOWER else self.upper[j]
+            if v:
+                out.append((j, v))
         return out
+
+    def _beta(self, i, shift):
+        """Row i's basic variable value times scale * den[i], an int."""
+        row = self.T[i]
+        v = row[self.ncols] * self.scale
+        for j, val in shift:
+            t = row[j]
+            if t:
+                v -= t * val
+        return v
+
+    def _nb_value(self, j):
+        v = self.lower[j] if self.status[j] == AT_LOWER else self.upper[j]
+        return Q(v, self.scale)
 
     # -- main entry ------------------------------------------------------
 
     def solve(self):
         zero = Q(0)
         m, n = self.m, self.n
-        # initial nonbasic point: every structural variable at its lower bound
-        self.status = [AT_LOWER] * n
-        residual = list(self.rhs)
-        for j in range(n):
-            lj = self.lower[j]
-            if lj:
-                for i in range(m):
-                    a = self.rows[i].get(j)
-                    if a:
-                        residual[i] -= a * lj
-        signs = [1 if residual[i] >= 0 else -1 for i in range(m)]
-
         # columns: structural 0..n-1, artificial n..n+m-1, rhs at index ncols
-        self.ncols = n + m
-        T = []
+        self.ncols = ncols = n + m
+        self.status = [AT_LOWER] * n + [BASIC] * m
+        self.T, self.den = [], []
         for i in range(m):
-            row = [zero] * (self.ncols + 1)
-            s = signs[i]
-            for j, a in self.rows[i].items():
-                row[j] = a if s > 0 else -a
-            row[n + i] = Q(1)
-            row[self.ncols] = self.rhs[i] if s > 0 else -self.rhs[i]
-            T.append(row)
-        self.T = T
+            cols = list(self.rows[i])
+            nums, d = _int_row([self.rows[i][j] for j in cols] + [self.rhs[i]])
+            # sign of the residual at the initial point, all x at lower
+            res = nums[-1] * self.scale
+            for j, a in zip(cols, nums):
+                res -= a * self.lower[j]
+            s = 1 if res >= 0 else -1
+            row = [0] * (ncols + 1)
+            for j, a in zip(cols, nums):
+                row[j] = s * a
+            row[n + i] = d
+            row[ncols] = s * nums[-1]
+            self.T.append(row)
+            self.den.append(d)
         self.basis = [n + i for i in range(m)]
-        self.lower.extend([zero] * m)
+        self.lower.extend([0] * m)
         self.upper.extend([None] * m)
-        self.status.extend([BASIC] * m)
         self.banned = set()
 
         # phase 1: drive sum of artificials to zero
-        D = [zero] * self.ncols
-        for j in range(n):
-            tot = zero
-            for i in range(m):
-                t = T[i][j]
-                if t:
-                    tot += t
-            D[j] = -tot
-        outcome = self._iterate(D, phase=1)
+        dD = math.lcm(*self.den)
+        D = [0] * (ncols + 1)
+        for i in range(m):
+            f = dD // self.den[i]
+            row = self.T[i]
+            for j in self.rows[i]:
+                D[j] -= f * row[j]
+        outcome = self._iterate(D, dD)
         if outcome == "unbounded":
             raise SolverError("phase 1 reported an unbounded objective")
+        shift = self._shift()
         infeas = zero
-        beta = self._basic_values()
-        for i in range(m):
+        for i in range(self.m):
             if self.basis[i] >= n:
-                infeas += beta[i]
+                infeas += Q(self._beta(i, shift), self.scale * self.den[i])
         if infeas > 0:
             return LPStatus.INFEASIBLE, None, None
         self._expel_artificials()
+        # artificials never re-enter: drop their columns
+        self.T = [row[:n] + row[ncols:] for row in self.T]
+        self.ncols = ncols = n
 
-        # phase 2 on the real objective
-        D = [zero] * self.ncols
-        cB = {i: self.c[self.basis[i]] for i in range(self.m)
-              if self.basis[i] < n and self.c[self.basis[i]]}
-        for j in range(self.ncols):
-            if self.status[j] == BASIC or j in self.banned:
-                continue
-            red = self.c[j] if j < n else zero
-            for i, cost in cB.items():
-                t = self.T[i][j]
-                if t:
-                    red -= cost * t
-            D[j] = red
-        outcome = self._iterate(D, phase=2)
+        # phase 2 on the real objective: D = c - sum_i c_B(i) T[i]
+        D, dD = _int_row([*self.c, 0])
+        for i in range(self.m):
+            cost = self.c[self.basis[i]]
+            if cost:
+                row = self.T[i]
+                a = int(cost.denominator) * self.den[i]
+                b = int(cost.numerator) * dD
+                g = math.gcd(a, b)
+                D, dD = _combine(D, dD, a // g, b // g, row,
+                                 [l for l, v in enumerate(row) if v])
+        outcome = self._iterate(D, dD)
         if outcome == "unbounded":
             return LPStatus.UNBOUNDED, None, None
 
         values = [zero] * n
-        beta = self._basic_values()
+        shift = self._shift()
         for i in range(self.m):
-            if self.basis[i] < n:
-                values[self.basis[i]] = beta[i]
+            values[self.basis[i]] = Q(self._beta(i, shift),
+                                      self.scale * self.den[i])
         for j in range(n):
             if self.status[j] != BASIC:
                 values[j] = self._nb_value(j)
@@ -239,7 +276,7 @@ class _BoundedSimplex:
 
     def _expel_artificials(self):
         """Pivot zero-valued artificials out of the basis; drop rows that
-        turn out redundant.  Artificials never re-enter."""
+        turn out redundant."""
         n = self.n
         drop = []
         for i in range(self.m):
@@ -248,7 +285,7 @@ class _BoundedSimplex:
             row = self.T[i]
             pivot_col = None
             for j in range(n):
-                if self.status[j] != BASIC and row[j] and j not in self.banned \
+                if self.status[j] != BASIC and row[j] \
                         and self.lower[j] != self.upper[j]:
                     pivot_col = j
                     break
@@ -257,86 +294,92 @@ class _BoundedSimplex:
             else:
                 self._pivot(i, pivot_col, degenerate_entry=True)
         for i in reversed(drop):
-            k = self.basis[i]
-            self.status[k] = AT_LOWER
-            self.banned.add(k)
             del self.T[i]
+            del self.den[i]
             del self.basis[i]
             self.m -= 1
-        for j in range(n, self.ncols):
-            self.banned.add(j)
 
     def _pivot(self, r, j, degenerate_entry=False):
-        """Row operations making column j basic in row r."""
-        T = self.T
+        """Row operations making column j basic in row r; returns the
+        pivot row's nonzero columns."""
+        T, den = self.T, self.den
         row_r = T[r]
         piv = row_r[j]
         if not piv:
             raise SolverError("zero pivot")
-        if piv != 1:
-            inv = 1 / piv
-            T[r] = row_r = [v * inv if v else v for v in row_r]
+        if piv != den[r]:
+            # the row over its pivot element: ints row_r over piv
+            if piv < 0:
+                row_r = [-v for v in row_r]
+                piv = -piv
+            g = math.gcd(*row_r)
+            if g > 1:
+                row_r = [v // g for v in row_r]
+                piv //= g
+            T[r], den[r] = row_r, piv
         nz = [l for l, v in enumerate(row_r) if v]
         for i in range(self.m):
-            if i == r:
-                continue
             f = T[i][j]
-            if f:
-                row_i = T[i]
-                for l in nz:
-                    row_i[l] -= f * row_r[l]
+            if f and i != r:
+                g = math.gcd(piv, f)
+                T[i], den[i] = _combine(T[i], den[i], piv // g, f // g, row_r, nz)
         old = self.basis[r]
         self.basis[r] = j
         self.status[j] = BASIC
         if degenerate_entry:
             self.status[old] = AT_LOWER
-        return old
+        return nz
 
-    def _iterate(self, D, phase):
+    def _iterate(self, D, dD):
         """Pivot until no improving nonbasic candidate remains; the
-        entering variable is the first improving one (Bland)."""
-        zero = Q(0)
-        n_total = self.ncols
+        entering variable is the first improving one (Bland).  ``D`` is
+        the reduced-cost row, ints over ``dD``."""
+        T, den, basis = self.T, self.den, self.basis
+        status, lower, upper = self.status, self.lower, self.upper
         while True:
-            for j in range(n_total):
-                if self.status[j] == BASIC or j in self.banned:
+            for j in range(self.ncols):
+                s = status[j]
+                if s == BASIC or j in self.banned or lower[j] == upper[j]:
                     continue
-                if self.lower[j] == self.upper[j]:
-                    continue
-                d = D[j]
-                if self.status[j] == AT_LOWER and d < 0:
+                if s == AT_LOWER and D[j] < 0:
                     sg = 1
                     break
-                if self.status[j] == AT_UPPER and d > 0:
+                if s == AT_UPPER and D[j] > 0:
                     sg = -1
                     break
             else:
                 return "optimal"
 
-            beta = self._basic_values()
-            # own-gap candidate: flip to the opposite bound
-            limit = None
+            shift = self._shift()
+            # step lengths are compared as num / (dn * scale), dn > 0;
+            # the own-gap candidate flips j to its opposite bound
+            limit = None if upper[j] is None else (upper[j] - lower[j], 1)
             leaving_row = None
-            if self.upper[j] is not None:
-                limit = self.upper[j] - self.lower[j]
-            col_rows = [(i, self.T[i][j]) for i in range(self.m) if self.T[i][j]]
-            for i, t in col_rows:
-                k = self.basis[i]
+            for i in range(self.m):
+                t = T[i][j]
+                if not t:
+                    continue
+                k = basis[i]
                 st = sg * t
                 if st > 0:
-                    cand = (beta[i] - self.lower[k]) / st
+                    num = self._beta(i, shift) - lower[k] * den[i]
                     hits = AT_LOWER
                 else:
-                    if self.upper[k] is None:
+                    if upper[k] is None:
                         continue
-                    cand = (self.upper[k] - beta[i]) / (-st)
+                    num = upper[k] * den[i] - self._beta(i, shift)
+                    st = -st
                     hits = AT_UPPER
                 # ties: prefer a basis change over a flip, then the
                 # smallest leaving variable index (Bland)
-                if limit is None or cand < limit or (
-                        cand == limit and (leaving_row is None
-                                           or k < self.basis[leaving_row])):
-                    limit = cand
+                if limit is None:
+                    better = True
+                else:
+                    lhs, rhs = num * limit[1], limit[0] * st
+                    better = lhs < rhs or (lhs == rhs and (
+                        leaving_row is None or k < basis[leaving_row]))
+                if better:
+                    limit = (num, st)
                     leaving_row = i
                     leaving_to = hits
             if limit is None:
@@ -345,21 +388,19 @@ class _BoundedSimplex:
             self.pivots += 1
             if leaving_row is None:
                 # bound flip: no basis change
-                self.status[j] = AT_UPPER if self.status[j] == AT_LOWER else AT_LOWER
+                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
                 continue
-            old = self.basis[leaving_row]
-            self._pivot(leaving_row, j)
-            self.status[old] = leaving_to
-            if phase == 1 and old >= self.n:
+            old = basis[leaving_row]
+            nz = self._pivot(leaving_row, j)
+            status[old] = leaving_to
+            if old >= self.n:
                 self.banned.add(old)
             # update the reduced-cost row
             f = D[j]
             if f:
-                row_r = self.T[leaving_row]
-                for l in range(n_total):
-                    if row_r[l]:
-                        D[l] -= f * row_r[l]
-                D[j] = zero
+                piv = den[leaving_row]
+                g = math.gcd(piv, f)
+                D, dD = _combine(D, dD, piv // g, f // g, T[leaving_row], nz)
 
 
 def _verify_equalities(rows, rhs, values):

@@ -20,7 +20,7 @@ from .complexes import Chain, TwoComplex, get_complex
 from .errors import NotABoundaryError, NotACycleError
 from .exactlp import LinearProgram, LPStatus, solve_ilp, solve_lp
 from .presentation import GroupPresentation
-from .rationals import Q, qstr
+from .rationals import Q, is_integral, qstr
 from .rewriting import RewritingSystem
 
 RING_Q = "Q"
@@ -94,12 +94,12 @@ def _filling_program(b: Chain, complex_: TwoComplex):
         pos, neg = 2 * ci, 2 * ci + 1
         for e, inc in col.items():
             r = rows[row_of[e]]
-            r[pos] = Q(inc)
-            r[neg] = Q(-inc)
-    rhs = [Q(0)] * len(row_of)
+            r[pos] = inc
+            r[neg] = -inc
+    rhs = [0] * len(row_of)
     for e, coeff in b.entries.items():
         rhs[row_of[e]] = coeff
-    objective = [Q(1)] * (2 * nc)
+    objective = [1] * (2 * nc)
     return LinearProgram.make(2 * nc, rows, rhs, objective)
 
 
@@ -148,6 +148,7 @@ def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     result = solve_lp(lp)
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no filling within this ball")
+    complex_.relaxations[frozenset(b.entries.items())] = result
     witness = _witness_chain(complex_.num_cells, result.witness)
     return _certificate(b, complex_, RING_Q, result.value, witness)
 
@@ -160,10 +161,16 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         raise NotACycleError("integral norm needs an integral boundary")
     if b.is_zero():
         return _certificate(b, complex_, RING_Z, Q(0), Chain(2, {}))
-    lp = _filling_program(b, complex_)
-    if lp is None:
-        raise NotABoundaryError("no filling within this ball (uncovered edge)")
-    result = solve_ilp(lp, node_budget=node_budget)
+    # branch and bound would solve the rational LP first; where
+    # filling_norm_q already found an integral optimum, that is the
+    # answer, at the cost of the root node alone
+    result = complex_.relaxations.get(frozenset(b.entries.items()))
+    if result is None or node_budget < 1 or \
+            not all(is_integral(v) for v in result.witness.values()):
+        lp = _filling_program(b, complex_)
+        if lp is None:
+            raise NotABoundaryError("no filling within this ball (uncovered edge)")
+        result = solve_ilp(lp, node_budget=node_budget)
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no integral filling within this ball")
     witness = _witness_chain(complex_.num_cells, result.witness)

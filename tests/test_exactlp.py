@@ -5,6 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from fillprobe.errors import NodeBudgetError
 from fillprobe.exactlp import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
     LinearProgram,
     LPStatus,
     _BoundedSimplex,
@@ -12,7 +15,7 @@ from fillprobe.exactlp import (
     solve_lp,
     solve_minmax,
 )
-from fillprobe.rationals import Q
+from fillprobe.rationals import Q, RationalType
 
 
 def lp(num_vars, rows, rhs, objective):
@@ -389,3 +392,335 @@ def test_optimum_matches_basic_solution_enumeration():
             solved += 1
     assert solved >= 25
 
+
+# -- the integer tableau against the rational one it replaced -------------
+
+class _FractionSimplex:
+    """The rational-tableau simplex that ``_BoundedSimplex`` replaced, kept
+    as the reference: every tableau entry is a ``Q``, pivots follow
+    Bland's rule exactly as in ``_BoundedSimplex``."""
+
+    def __init__(self, rows, rhs, objective, lower, upper):
+        self.m = len(rows)
+        self.n = len(objective)
+        self.rows = [{j: Q(v) for j, v in row.items()} for row in rows]
+        self.rhs = [Q(v) for v in rhs]
+        self.c = [Q(v) for v in objective]
+        self.lower = [Q(v) for v in lower]
+        self.upper = [None if u is None else Q(u) for u in upper]
+        for j in range(self.n):
+            if self.upper[j] is not None and self.upper[j] < self.lower[j]:
+                raise ValueError("empty variable bound interval")
+        self.pivots = 0
+
+    # -- tableau helpers -------------------------------------------------
+
+    def _basic_values(self):
+        """Current basic variable values from the rhs column and the
+        nonbasic variables sitting at nonzero bounds."""
+        T, beta = self.T, []
+        shift = [(j, self._nb_value(j)) for j in self.nonbasic_nonzero()]
+        last = self.ncols
+        for i in range(self.m):
+            v = T[i][last]
+            row = T[i]
+            for j, val in shift:
+                t = row[j]
+                if t:
+                    v -= t * val
+            beta.append(v)
+        return beta
+
+    def _nb_value(self, j):
+        return self.lower[j] if self.status[j] == AT_LOWER else self.upper[j]
+
+    def nonbasic_nonzero(self):
+        out = []
+        for j in range(self.ncols):
+            s = self.status[j]
+            if s == BASIC:
+                continue
+            if (self.lower[j] if s == AT_LOWER else self.upper[j]) != 0:
+                out.append(j)
+        return out
+
+    # -- main entry ------------------------------------------------------
+
+    def solve(self):
+        zero = Q(0)
+        m, n = self.m, self.n
+        # initial nonbasic point: every structural variable at its lower bound
+        self.status = [AT_LOWER] * n
+        residual = list(self.rhs)
+        for j in range(n):
+            lj = self.lower[j]
+            if lj:
+                for i in range(m):
+                    a = self.rows[i].get(j)
+                    if a:
+                        residual[i] -= a * lj
+        signs = [1 if residual[i] >= 0 else -1 for i in range(m)]
+
+        # columns: structural 0..n-1, artificial n..n+m-1, rhs at index ncols
+        self.ncols = n + m
+        T = []
+        for i in range(m):
+            row = [zero] * (self.ncols + 1)
+            s = signs[i]
+            for j, a in self.rows[i].items():
+                row[j] = a if s > 0 else -a
+            row[n + i] = Q(1)
+            row[self.ncols] = self.rhs[i] if s > 0 else -self.rhs[i]
+            T.append(row)
+        self.T = T
+        self.basis = [n + i for i in range(m)]
+        self.lower.extend([zero] * m)
+        self.upper.extend([None] * m)
+        self.status.extend([BASIC] * m)
+        self.banned = set()
+
+        # phase 1: drive sum of artificials to zero
+        D = [zero] * self.ncols
+        for j in range(n):
+            tot = zero
+            for i in range(m):
+                t = T[i][j]
+                if t:
+                    tot += t
+            D[j] = -tot
+        outcome = self._iterate(D, phase=1)
+        if outcome == "unbounded":
+            raise AssertionError("phase 1 reported an unbounded objective")
+        infeas = zero
+        beta = self._basic_values()
+        for i in range(m):
+            if self.basis[i] >= n:
+                infeas += beta[i]
+        if infeas > 0:
+            return LPStatus.INFEASIBLE, None, None
+        self._expel_artificials()
+
+        # phase 2 on the real objective
+        D = [zero] * self.ncols
+        cB = {i: self.c[self.basis[i]] for i in range(self.m)
+              if self.basis[i] < n and self.c[self.basis[i]]}
+        for j in range(self.ncols):
+            if self.status[j] == BASIC or j in self.banned:
+                continue
+            red = self.c[j] if j < n else zero
+            for i, cost in cB.items():
+                t = self.T[i][j]
+                if t:
+                    red -= cost * t
+            D[j] = red
+        outcome = self._iterate(D, phase=2)
+        if outcome == "unbounded":
+            return LPStatus.UNBOUNDED, None, None
+
+        values = [zero] * n
+        beta = self._basic_values()
+        for i in range(self.m):
+            if self.basis[i] < n:
+                values[self.basis[i]] = beta[i]
+        for j in range(n):
+            if self.status[j] != BASIC:
+                values[j] = self._nb_value(j)
+        obj = zero
+        for j in range(n):
+            if values[j] and self.c[j]:
+                obj += self.c[j] * values[j]
+        return LPStatus.OPTIMAL, values, obj
+
+    def _expel_artificials(self):
+        """Pivot zero-valued artificials out of the basis; drop rows that
+        turn out redundant.  Artificials never re-enter."""
+        n = self.n
+        drop = []
+        for i in range(self.m):
+            if self.basis[i] < n:
+                continue
+            row = self.T[i]
+            pivot_col = None
+            for j in range(n):
+                if self.status[j] != BASIC and row[j] and j not in self.banned \
+                        and self.lower[j] != self.upper[j]:
+                    pivot_col = j
+                    break
+            if pivot_col is None:
+                drop.append(i)
+            else:
+                self._pivot(i, pivot_col, degenerate_entry=True)
+        for i in reversed(drop):
+            k = self.basis[i]
+            self.status[k] = AT_LOWER
+            self.banned.add(k)
+            del self.T[i]
+            del self.basis[i]
+            self.m -= 1
+        for j in range(n, self.ncols):
+            self.banned.add(j)
+
+    def _pivot(self, r, j, degenerate_entry=False):
+        """Row operations making column j basic in row r."""
+        T = self.T
+        row_r = T[r]
+        piv = row_r[j]
+        if not piv:
+            raise AssertionError("zero pivot")
+        if piv != 1:
+            inv = 1 / piv
+            T[r] = row_r = [v * inv if v else v for v in row_r]
+        nz = [l for l, v in enumerate(row_r) if v]
+        for i in range(self.m):
+            if i == r:
+                continue
+            f = T[i][j]
+            if f:
+                row_i = T[i]
+                for l in nz:
+                    row_i[l] -= f * row_r[l]
+        old = self.basis[r]
+        self.basis[r] = j
+        self.status[j] = BASIC
+        if degenerate_entry:
+            self.status[old] = AT_LOWER
+        return old
+
+    def _iterate(self, D, phase):
+        """Pivot until no improving nonbasic candidate remains; the
+        entering variable is the first improving one (Bland)."""
+        zero = Q(0)
+        n_total = self.ncols
+        while True:
+            for j in range(n_total):
+                if self.status[j] == BASIC or j in self.banned:
+                    continue
+                if self.lower[j] == self.upper[j]:
+                    continue
+                d = D[j]
+                if self.status[j] == AT_LOWER and d < 0:
+                    sg = 1
+                    break
+                if self.status[j] == AT_UPPER and d > 0:
+                    sg = -1
+                    break
+            else:
+                return "optimal"
+
+            beta = self._basic_values()
+            # own-gap candidate: flip to the opposite bound
+            limit = None
+            leaving_row = None
+            if self.upper[j] is not None:
+                limit = self.upper[j] - self.lower[j]
+            col_rows = [(i, self.T[i][j]) for i in range(self.m) if self.T[i][j]]
+            for i, t in col_rows:
+                k = self.basis[i]
+                st = sg * t
+                if st > 0:
+                    cand = (beta[i] - self.lower[k]) / st
+                    hits = AT_LOWER
+                else:
+                    if self.upper[k] is None:
+                        continue
+                    cand = (self.upper[k] - beta[i]) / (-st)
+                    hits = AT_UPPER
+                # ties: prefer a basis change over a flip, then the
+                # smallest leaving variable index (Bland)
+                if limit is None or cand < limit or (
+                        cand == limit and (leaving_row is None
+                                           or k < self.basis[leaving_row])):
+                    limit = cand
+                    leaving_row = i
+                    leaving_to = hits
+            if limit is None:
+                return "unbounded"
+
+            self.pivots += 1
+            if leaving_row is None:
+                # bound flip: no basis change
+                self.status[j] = AT_UPPER if self.status[j] == AT_LOWER else AT_LOWER
+                continue
+            old = self.basis[leaving_row]
+            self._pivot(leaving_row, j)
+            self.status[old] = leaving_to
+            if phase == 1 and old >= self.n:
+                self.banned.add(old)
+            # update the reduced-cost row
+            f = D[j]
+            if f:
+                row_r = self.T[leaving_row]
+                for l in range(n_total):
+                    if row_r[l]:
+                        D[l] -= f * row_r[l]
+                D[j] = zero
+
+
+_COEFFS = st.one_of(st.integers(min_value=-4, max_value=4),
+                    st.builds(Q, st.integers(min_value=-5, max_value=5),
+                              st.integers(min_value=1, max_value=4)))
+
+
+@st.composite
+def bounded_lps(draw):
+    """Small bounded LPs: non-unit and fractional coefficients, fractional
+    rhs, redundant rows, lower bounds and finite upper bounds (integral,
+    as branch and bound sets them, or fractional), objectives that can
+    be unbounded below, and a rhs that is either drawn (often
+    infeasible) or the image of a point within the bounds."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=4))
+    lower, upper, point = [], [], []
+    for _ in range(n):
+        lo = Q(draw(st.sampled_from([0, 0, 0, 1, 2, Q(1, 2)])))
+        gap = draw(st.sampled_from([None, None, 0, 1, 2, 3, Q(5, 3)]))
+        lower.append(lo)
+        upper.append(None if gap is None else lo + gap)
+        point.append(lo + draw(st.sampled_from([0, 1, Q(1, 3)])) * (
+            1 if gap is None else gap))
+    feasible = draw(st.booleans())
+    rows, rhs = [], []
+    for _ in range(m):
+        cols = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                             min_size=1, max_size=n, unique=True))
+        rows.append({j: Q(draw(_COEFFS)) for j in cols})
+        rhs.append(sum((a * point[j] for j, a in rows[-1].items()), Q(0))
+                   if feasible else Q(draw(_COEFFS)))
+    if rows and draw(st.booleans()):
+        # a redundant row: a multiple of an earlier one
+        k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        lam = Q(draw(st.sampled_from([1, -2, 3])), draw(st.sampled_from([1, 2])))
+        rows.append({j: lam * a for j, a in rows[k].items()})
+        rhs.append(lam * rhs[k])
+    objective = [Q(draw(_COEFFS)) for _ in range(n)]
+    return rows, rhs, objective, lower, upper
+
+
+@given(bounded_lps())
+@settings(max_examples=400, deadline=None)
+def test_integer_tableau_matches_fraction_tableau(problem):
+    rows, rhs, objective, lower, upper = problem
+    new = _BoundedSimplex(rows, rhs, objective, lower, upper)
+    ref = _FractionSimplex(rows, rhs, objective, lower, upper)
+    status, values, obj = new.solve()
+    assert (status, values, obj) == ref.solve()
+    assert new.pivots == ref.pivots
+    if status is LPStatus.OPTIMAL:
+        assert all(type(v) is RationalType for v in values)
+        assert type(obj) is RationalType
+
+
+@given(bounded_lps())
+@settings(max_examples=100, deadline=None)
+def test_solver_results_are_rationals(problem):
+    rows, rhs, objective, _, _ = problem
+    problem = lp(len(objective), rows, rhs, [abs(c) for c in objective])
+    results = [solve_lp(problem)]
+    try:
+        results.append(solve_ilp(problem, node_budget=50))
+    except NodeBudgetError:
+        pass
+    for result in results:
+        if result.optimal:
+            assert type(result.value) is RationalType
+            assert all(type(v) is RationalType for v in result.witness.values())

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillprobe import filling
 from fillprobe.complexes import Chain, attach_cells, build_ball, get_complex, word_to_edge_chain
 from fillprobe.errors import NotABoundaryError, NotACycleError
 from fillprobe.filling import (
@@ -13,7 +14,9 @@ from fillprobe.filling import (
     l1_norm,
     norm_with_escalation,
 )
+from fillprobe.presentation import parse_presentation
 from fillprobe.rationals import Q
+from fillprobe.rewriting import knuth_bendix_bounded
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,42 @@ def test_two_by_two_square_norm(z2):
     assert cq.value == 4
     assert cz.value == 4
     assert cz.witness.l1() == 4
+
+
+def _count_ilp_calls(monkeypatch):
+    calls, solve = [], filling.solve_ilp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(filling, "solve_ilp", counting)
+    return calls
+
+
+def test_integral_norm_reuses_integral_rational_optimum(z2, monkeypatch):
+    presentation, rws = z2
+    fresh, solved = (attach_cells(build_ball(presentation, rws, 3), presentation)
+                     for _ in range(2))
+    loop = word_to_edge_chain(fresh.ball, presentation.word("a^2 b a^-2 b^-1"))
+    expected = filling_norm_z(loop, fresh)
+    filling_norm_q(loop, solved)
+    calls = _count_ilp_calls(monkeypatch)
+    assert filling_norm_z(loop, solved) == expected
+    assert expected.value == 2 and calls == []
+
+
+def test_integral_norm_branches_on_fractional_rational_optimum(monkeypatch):
+    # the a^6 cell runs twice around the a^3 triangle, so half of it
+    # fills the triangle at mass 1/2; an integral filling needs mass 1
+    presentation = parse_presentation("generators: a\nrelator: a^3\nrelator: a^6\n")
+    complex_ = get_complex(presentation, knuth_bendix_bounded(presentation), 2)
+    triangle = word_to_edge_chain(complex_.ball, presentation.word("a^3"))
+    assert filling_norm_q(triangle, complex_).value == Q(1, 2)
+    calls = _count_ilp_calls(monkeypatch)
+    cert = filling_norm_z(triangle, complex_)
+    assert cert.value == 1 and cert.witness.is_integral()
+    assert len(calls) == 1
 
 
 def test_fractional_boundary_norm(z2_r2, z2_square):
