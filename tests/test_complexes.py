@@ -57,6 +57,15 @@ def test_radius_zero_trivial(z2):
     assert ball.vertices[0] == ()
 
 
+def test_trivial_generator_loops_by_radius():
+    # a = 1, so every vertex carries an a-loop, boundary layer included;
+    # the radius-0 ball stays edgeless
+    presentation = parse_presentation("generators: a, b\nrelator: a\n")
+    rws = knuth_bendix_bounded(presentation)
+    for radius, edges in ((0, 0), (1, 5), (2, 9)):
+        assert build_ball(presentation, rws, radius).num_edges == edges
+
+
 def test_ball_requires_confluence():
     p = parse_presentation("a, t | t a t^-1 a^-2")
     rws = knuth_bendix_bounded(p, max_rules=4)

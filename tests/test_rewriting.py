@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillprobe.catalog import get_entry
 from fillprobe.errors import IncompleteSystemError
 from fillprobe.presentation import parse_presentation, shortlex_key
 from fillprobe.rewriting import (
@@ -165,3 +167,42 @@ def test_confluence_under_randomized_strategies(z2, surface, seed):
             w = tuple(rng.choice([g, -g])
                       for g in rng.choices(range(1, ngens + 1), k=rng.randrange(12)))
             assert _random_strategy_reduce(rws, w, rng) == normal_form(w, rws)
+
+
+# sha256 of repr(rules): the exact rule tuples, order included, that
+# completion returns at each of its return points (rule budget, length
+# budget, closed)
+_PINNED_COMPLETIONS = [
+    ("H3", 256, 64, "incomplete", 257,
+     "791dd08717dd107d4bbeb39efff8c8591bcabccac260edc662bb2f54540acb2c"),
+    ("H3", 16, 64, "incomplete", 17,
+     "f7c8966e7085709fea842881cc0703788973ff013f311ecdf4fd319760b4bce8"),
+    ("H3", 64, 64, "incomplete", 65,
+     "a9334450b4c9d251648c1358ab40b293b78674a0801ffdfe5bb8cecfb18c5780"),
+    ("H3", 256, 5, "incomplete", 72,
+     "ea0e1934546e2d0a1eaf5cd8f96e891b7c86a9608e4ab1fd33e03f747b4daeb0"),
+    ("BS12", 256, 64, "incomplete", 257,
+     "7ef6527a883251238213e77a7f5139db6c471e419703329188b02cfd9f26b710"),
+    ("BS12", 16, 64, "incomplete", 17,
+     "788f93528540a49afa16c06babf86cdf85b3c409ec38a7a9005866c609782031"),
+    ("BS12", 64, 64, "incomplete", 65,
+     "0bf206583bc67aa0d5f152d187434d6bc09610545981a5e5d8c273e5eb9227dd"),
+    ("BS12", 256, 6, "incomplete", 29,
+     "0be68e359b037adcc38c4b412f1ace83172be1e4439dfe8780137fbf79dff4de"),
+    ("S2", 256, 64, "confluent", 8,
+     "bb6846933c5fdcd3c88c64d8b1a084a7614ec7b60dee751973ff547bf40f0904"),
+    ("Z3", 256, 64, "confluent", 12,
+     "5055574e10705da5352ddc25b484f76277bd8d2ce8d6003ef550f2f14b92af1c"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,max_rules,max_len,status,count,digest", _PINNED_COMPLETIONS,
+    ids=[f"{c[0]}-rules{c[1]}-len{c[2]}" for c in _PINNED_COMPLETIONS])
+def test_completion_returns_pinned_rules(name, max_rules, max_len, status,
+                                         count, digest):
+    p = parse_presentation(get_entry(name).source)
+    rws = knuth_bendix_bounded(p, max_rules=max_rules, max_len=max_len)
+    assert rws.status.value == status
+    assert len(rws.rules) == count
+    assert hashlib.sha256(repr(rws.rules).encode()).hexdigest() == digest
