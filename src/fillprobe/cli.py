@@ -154,7 +154,6 @@ def _config(args) -> ProbeConfig:
         vertex_cap=args.vertex_cap,
         walk_cap=args.walk_cap,
         node_budget=args.node_budget,
-        sample_walks=500,
         cache_dir=args.cache_dir or os.environ.get("FILLPROBE_CACHE_DIR"),
     )
 
@@ -250,6 +249,8 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_fill(args) -> int:
+    from .complexes import get_complex
+
     name, presentation, rws = _load_source(args)
     failure = _require_confluent(args, rws)
     if failure is not None:
@@ -267,9 +268,9 @@ def _cmd_fill(args) -> int:
         prefix = normal_form(prefix + (x,), rws)
         prefix_reach = max(prefix_reach, len(prefix))
     try:
-        ball = build_ball(presentation, rws, prefix_reach,
-                          vertex_cap=args.vertex_cap)
-        chain = word_to_edge_chain(ball, word)
+        reach = get_complex(presentation, rws, prefix_reach,
+                            vertex_cap=args.vertex_cap, cache_dir=cache_dir)
+        chain = word_to_edge_chain(reach.ball, word)
     except ResourceLimitError as exc:
         _emit(args, {"error": str(exc)})
         return EXIT_RESOURCE

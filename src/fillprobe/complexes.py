@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import IncompleteSystemError, ResourceLimitError
@@ -125,16 +124,21 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     depth = [0]
     index = {root: 0}
     neighbors = [dict()]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        if depth[v] >= radius:
-            continue
+    # vertices are appended in BFS order, so this visits them by depth;
+    # a boundary-layer vertex only links to vertices already in the ball,
+    # which by then are all found.  The radius-0 ball has no edges, not
+    # even loops.
+    v = 0
+    while radius > 0 and v < len(vertices):
         word = vertices[v]
         for x in letters:
+            if x in neighbors[v]:
+                continue
             target = normal_form(word + (x,), rws)
             t = index.get(target)
             if t is None:
+                if depth[v] == radius:
+                    continue
                 t = len(vertices)
                 if t >= vertex_cap:
                     raise ResourceLimitError(
@@ -143,22 +147,9 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                 depth.append(depth[v] + 1)
                 index[target] = t
                 neighbors.append(dict())
-                queue.append(t)
             neighbors[v][x] = t
             neighbors[t][-x] = v
-
-    # Boundary-layer vertices were never expanded; fill in their in-ball
-    # neighbors so edges between two depth-R vertices are found.
-    for v in range(len(vertices)):
-        if depth[v] == radius and radius > 0:
-            word = vertices[v]
-            for x in letters:
-                if x in neighbors[v]:
-                    continue
-                t = index.get(normal_form(word + (x,), rws))
-                if t is not None:
-                    neighbors[v][x] = t
-                    neighbors[t][-x] = v
+        v += 1
 
     raw_edges = []
     for v in range(len(vertices)):

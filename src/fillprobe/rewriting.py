@@ -4,6 +4,11 @@ Free-group cancellation (x x^-1 -> empty) is hardwired into the
 reduction engine; explicit rules sit on top of it.  Every explicit rule
 must strictly decrease the shortlex order, so rewriting terminates and
 local confluence (all critical pairs joinable) implies confluence.
+
+Bounded Knuth-Bendix completion rewrites against its one live rule
+table through the same engine that ``RewritingSystem.reduce`` uses, and
+builds a ``RewritingSystem`` (which checks every rule's order again)
+only when it returns.
 """
 
 from __future__ import annotations
@@ -52,9 +57,8 @@ class RewritingSystem:
             if shortlex_key(lhs) <= shortlex_key(rhs):
                 raise ValueError(f"rule {lhs} -> {rhs} is not shortlex-reducing")
             table[tuple(lhs)] = tuple(rhs)
-        maxlhs = max((len(l) for l in table), default=0)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_maxlhs", max(maxlhs, 2))
+        object.__setattr__(self, "_maxlhs", max(map(len, table), default=0))
 
     @classmethod
     def empty(cls, ngens: int) -> "RewritingSystem":
@@ -66,34 +70,33 @@ class RewritingSystem:
 
     def reduce(self, word) -> Word:
         """Rewrite to an irreducible word (cancellation plus rules)."""
-        table = self._table
-        maxlhs = self._maxlhs
-        out = []
-        pending = list(reversed(word))
-        while pending:
-            x = pending.pop()
-            if out and out[-1] == -x:
-                out.pop()
-                continue
-            out.append(x)
-            n = len(out)
-            for length in range(min(maxlhs, n), 1, -1):
-                rhs = table.get(tuple(out[n - length:]))
-                if rhs is not None:
-                    del out[n - length:]
-                    pending.extend(reversed(rhs))
-                    break
-            else:
-                if n >= 1:
-                    rhs = table.get((out[-1],))
-                    if rhs is not None:
-                        out.pop()
-                        pending.extend(reversed(rhs))
-        return tuple(out)
+        return _reduce(word, self._table, self._maxlhs)
 
     def rules_key(self) -> str:
         """Canonical serialization for cache keys."""
         return repr(sorted(self.rules))
+
+
+def _reduce(word, table: dict, maxlhs: int) -> Word:
+    """Irreducible descendant of ``word`` under free cancellation and the
+    rules in ``table`` (lhs -> rhs).  ``maxlhs`` bounds the lhs lengths
+    from above; longer lengths only miss the table."""
+    # a tuple, so its suffix slices are table keys without a copy
+    out = ()
+    pending = list(reversed(word))
+    while pending:
+        x = pending.pop()
+        if out and out[-1] == -x:
+            out = out[:-1]
+            continue
+        out += (x,)
+        for length in range(min(maxlhs, len(out)), 0, -1):
+            rhs = table.get(out[-length:])
+            if rhs is not None:
+                out = out[:-length]
+                pending.extend(reversed(rhs))
+                break
+    return out
 
 
 def normal_form(word, rws: RewritingSystem) -> Word:
@@ -186,8 +189,9 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
 
     cancels = _cancellation_rules(ngens)
     table: dict = {}
+    maxlhs = 0  # the longest lhs ever added; an upper bound after deletions
 
-    def reducer():
+    def incomplete():
         return RewritingSystem(ngens, tuple(table.items()),
                                RewriteStatus.INCOMPLETE)
 
@@ -208,28 +212,27 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
     while heap:
         processed += 1
         if processed > budget:
-            return reducer()
+            return incomplete()
         _, _, _, u, v = heapq.heappop(heap)
-        rs = reducer()
-        pair = _orient(rs.reduce(u), rs.reduce(v))
+        pair = _orient(_reduce(u, table, maxlhs), _reduce(v, table, maxlhs))
         if pair is None:
             continue
         lhs, rhs = pair
         if len(lhs) > max_len or len(rhs) > max_len:
-            return reducer()
+            return incomplete()
         # Interreduce: rules whose lhs the new rule rewrites go back to
-        # the queue; rhs sides are re-normalized in place.
+        # the queue; every other rhs is re-normalized against the table
+        # as it stands once the new rule is in.
         doomed = [l2 for l2 in table
                   if len(lhs) <= len(l2) and _contains(l2, lhs)]
         for l2 in doomed:
             push(l2, table.pop(l2))
         table[lhs] = rhs
-        rs = reducer()
-        for l2 in list(table):
-            if l2 != lhs:
-                table[l2] = rs.reduce(table[l2])
+        maxlhs = max(maxlhs, len(lhs))
+        table.update({l2: _reduce(r2, table, maxlhs)
+                      for l2, r2 in table.items() if l2 != lhs})
         if len(table) > max_rules:
-            return reducer()
+            return incomplete()
         current = list(table.items()) + cancels
         new_rule = (lhs, rhs)
         for other in current:
@@ -249,11 +252,11 @@ def _contains(big, small) -> bool:
     return any(big[i:i + m] == small for i in range(n - m + 1))
 
 
-def system_from_rules(ngens: int, rules, *, verify: bool = True) -> RewritingSystem:
-    """Build a system from explicit rules, setting status by checking
-    local confluence when ``verify`` is on."""
+def system_from_rules(ngens: int, rules) -> RewritingSystem:
+    """Build a system from explicit rules, CONFLUENT exactly when every
+    critical pair is joinable."""
     canonical = tuple(sorted((tuple(l), tuple(r)) for l, r in rules))
     rws = RewritingSystem(ngens, canonical, RewriteStatus.INCOMPLETE)
-    if verify and not check_local_confluence(rws):
+    if not check_local_confluence(rws):
         rws = RewritingSystem(ngens, canonical, RewriteStatus.CONFLUENT)
     return rws

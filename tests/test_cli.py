@@ -1,5 +1,6 @@
 import json
 
+from fillprobe import cli, complexes
 from fillprobe.cli import main
 from fillprobe.complexes import clear_memo
 
@@ -62,6 +63,28 @@ def test_fill_z2_both_rings(capsys):
     report = json.loads(out)
     assert report["certificates"]["Q"]["value"] == "1/1"
     assert report["certificates"]["Z"]["value"] == "1/1"
+
+
+def test_fill_builds_start_ball_once_when_it_is_the_reach_ball(capsys, monkeypatch):
+    # the S2 product of commutators reaches radius 4, the start radius, so
+    # the chain and the escalation share one radius-4 ball
+    built = []
+    real_build_ball = complexes.build_ball
+
+    def counting_build_ball(presentation, rws, radius, **kwargs):
+        built.append(radius)
+        return real_build_ball(presentation, rws, radius, **kwargs)
+
+    monkeypatch.setattr(complexes, "build_ball", counting_build_ball)
+    monkeypatch.setattr(cli, "build_ball", counting_build_ball)
+    monkeypatch.delenv("FILLPROBE_CACHE_DIR", raising=False)
+    clear_memo()
+    code, out = run_cli(capsys, "--radius-cap", "5", "fill", "S2",
+                        "a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1", "--radius", "4")
+    clear_memo()
+    assert code == 0
+    assert json.loads(out)["certificates"]["Q"]["value"] == "1/1"
+    assert built.count(4) == 1
 
 
 def test_fill_not_closed_exit_3(capsys):
