@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillprobe.catalog import load
 from fillprobe.complexes import (
     Chain,
     attach_cells,
@@ -57,13 +60,47 @@ def test_radius_zero_trivial(z2):
     assert ball.vertices[0] == ()
 
 
+_TRIVIAL_A = "generators: a, b\nrelator: a\n"
+
+
 def test_trivial_generator_loops_by_radius():
     # a = 1, so every vertex carries an a-loop, boundary layer included;
     # the radius-0 ball stays edgeless
-    presentation = parse_presentation("generators: a, b\nrelator: a\n")
+    presentation = parse_presentation(_TRIVIAL_A)
     rws = knuth_bendix_bounded(presentation)
     for radius, edges in ((0, 0), (1, 5), (2, 9)):
         assert build_ball(presentation, rws, radius).num_edges == edges
+
+
+# sha256 of complex_to_json(attach_cells(build_ball(...))) by (source, radius)
+_COMPLEX_SHA256 = {
+    ("S2", 0): "cedae4c3a07189a3fb7a2f67b357f28d7f99d4eab1d368e38d3530420368e17a",
+    ("S2", 4): "9187625d40640a6c2b8f32a3c42cd31f07f2dfcdf4a919145cf884e1d82d6fa6",
+    ("S2", 5): "122c84c4a8e252bb5e42058f6f298cbcb89f867f6d2c52724b945907bab22a0e",
+    ("F2", 7): "744823efae8bac61759c1b68641e73f5191a2235890fd01be131b8841842f3a4",
+    ("Z2", 1): "433f8c66bb24fc3484387bd607a38c7a9f09d21a73b48f3906754dd8204ec921",
+    ("Z2", 9): "690229886e81246d36486ae3c2beee51abbf57d2883848fe8773ac52493cadd8",
+    ("Z3", 0): "90a76b46794b3d7548ed21df1909c02e41c0a6bb32e94ef20f2ef7f07f1d72f2",
+    ("Z3", 4): "e2bb1acacd5129a6644e4ccab54aa220aafbc58dab3738c981816c080339e791",
+    (_TRIVIAL_A, 0): "b4bbc49f048c16d437aaf82686f5e69ac588123bb2e458e58a40de0f1783d56a",
+    (_TRIVIAL_A, 1): "e8abab74d8a209de3b1efb87151ff30945d874c07724083fa1fb57cd68dab6d7",
+    (_TRIVIAL_A, 2): "579e25a7a2485e46b388a4b53e13ffe07457ba1a97737f2979d9554e115b8a02",
+    (_TRIVIAL_A, 3): "326eb5c1ea185d1cc551c34a2e2cfff67b8f50720267f967b2f0a3f374e585d4",
+}
+
+
+@pytest.mark.parametrize("source, radius", list(_COMPLEX_SHA256),
+                         ids=lambda v: "a,b|a" if v == _TRIVIAL_A else None)
+def test_complex_bytes_pinned(source, radius):
+    # vertex order, edge order, cells and d2 columns, byte for byte
+    if source == _TRIVIAL_A:
+        presentation = parse_presentation(source)
+        rws = knuth_bendix_bounded(presentation)
+    else:
+        presentation, rws = load(source)
+    complex_ = attach_cells(build_ball(presentation, rws, radius), presentation)
+    text = complex_to_json(complex_)
+    assert hashlib.sha256(text.encode()).hexdigest() == _COMPLEX_SHA256[source, radius]
 
 
 def test_ball_requires_confluence():
