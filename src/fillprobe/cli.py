@@ -265,7 +265,7 @@ def _cmd_fill(args) -> int:
     prefix_reach = 0
     prefix = ()
     for x in word:
-        prefix = normal_form(prefix + (x,), rws)
+        prefix = rws.reduce((x,), prefix)
         prefix_reach = max(prefix_reach, len(prefix))
     try:
         reach = get_complex(presentation, rws, prefix_reach,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .errors import IncompleteSystemError, ResourceLimitError
 from .presentation import GroupPresentation, Word, parse_word, word_to_text
 from .rationals import Q
-from .rewriting import RewritingSystem, normal_form
+from .rewriting import RewritingSystem
 
 DEFAULT_VERTEX_CAP = 200_000
 DEFAULT_WALK_CAP = 1_000_000
@@ -134,7 +134,7 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
         for x in letters:
             if x in neighbors[v]:
                 continue
-            target = normal_form(word + (x,), rws)
+            target = rws.reduce((x,), word)
             t = index.get(target)
             if t is None:
                 if depth[v] == radius:

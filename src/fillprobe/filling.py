@@ -79,26 +79,63 @@ def _require_cycle(b: Chain, complex_: TwoComplex):
         raise NotACycleError("chain is not a cycle (nonzero boundary)")
 
 
+def _cotree_edges(edges, row_edges):
+    """The edges of ``row_edges`` (sorted) outside the spanning forest T
+    that union-find picks: the first edge to join two components goes
+    into T, so a self-loop never does."""
+    parent: dict = {}       # roots have no entry
+
+    def find(v):
+        root = v
+        while root in parent:
+            root = parent[root]
+        while v != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    cotree = []
+    for e in row_edges:
+        s, _, t = edges[e]
+        rs, rt = find(s), find(t)
+        if rs == rt:
+            cotree.append(e)
+        else:
+            parent[rs] = rt
+    return cotree
+
+
 def _filling_program(b: Chain, complex_: TwoComplex):
     """Reduced LP over active edge rows, or None when some edge of b
-    is covered by no cell (immediately infeasible)."""
+    is covered by no cell (immediately infeasible).
+
+    The active edges are those some cell covers; rows are kept only for
+    the cotree, the active edges outside a spanning forest T of the
+    graph they span.  T's rows are implied: if a meets the cotree rows,
+    the residual d2 a - b is zero off T, and it is a cycle because
+    d1 d2 = 0 and b is a cycle; a forest carries no nonzero cycle, so
+    the residual is 0.  The feasible set and the optimum are those of
+    the program with every active row."""
     covered = set()
     for col in complex_.d2:
         covered.update(col)
     if any(e not in covered for e in b.entries):
         return None
-    row_of = {e: i for i, e in enumerate(sorted(covered | set(b.entries)))}
+    cotree = _cotree_edges(complex_.ball.edges, sorted(covered))
+    row_of = {e: i for i, e in enumerate(cotree)}
     nc = complex_.num_cells
     rows = [dict() for _ in row_of]
     for ci, col in enumerate(complex_.d2):
         pos, neg = 2 * ci, 2 * ci + 1
         for e, inc in col.items():
-            r = rows[row_of[e]]
-            r[pos] = inc
-            r[neg] = -inc
+            i = row_of.get(e)
+            if i is not None:
+                rows[i][pos] = inc
+                rows[i][neg] = -inc
     rhs = [0] * len(row_of)
     for e, coeff in b.entries.items():
-        rhs[row_of[e]] = coeff
+        i = row_of.get(e)
+        if i is not None:
+            rhs[i] = coeff
     objective = [1] * (2 * nc)
     return LinearProgram.make(2 * nc, rows, rhs, objective)
 

@@ -68,21 +68,27 @@ class RewritingSystem:
     def confluent(self) -> bool:
         return self.status is RewriteStatus.CONFLUENT
 
-    def reduce(self, word) -> Word:
-        """Rewrite to an irreducible word (cancellation plus rules)."""
-        return _reduce(word, self._table, self._maxlhs)
+    def reduce(self, word, prefix: Word = ()) -> Word:
+        """Rewrite ``prefix + word`` to an irreducible word (cancellation
+        plus rules).  ``prefix`` must be irreducible already; it is taken
+        as scanned, so only ``word`` is read letter by letter."""
+        return _reduce(word, self._table, self._maxlhs, prefix)
 
     def rules_key(self) -> str:
         """Canonical serialization for cache keys."""
         return repr(sorted(self.rules))
 
 
-def _reduce(word, table: dict, maxlhs: int) -> Word:
-    """Irreducible descendant of ``word`` under free cancellation and the
-    rules in ``table`` (lhs -> rhs).  ``maxlhs`` bounds the lhs lengths
-    from above; longer lengths only miss the table."""
+def _reduce(word, table: dict, maxlhs: int, prefix: Word = ()) -> Word:
+    """Irreducible descendant of ``prefix + word`` under free cancellation
+    and the rules in ``table`` (lhs -> rhs).  ``maxlhs`` bounds the lhs
+    lengths from above; longer lengths only miss the table.
+
+    ``prefix`` must be irreducible.  Every prefix of an irreducible word
+    is irreducible, so scanning it would append it letter by letter with
+    no rule firing; the scan starts from it instead."""
     # a tuple, so its suffix slices are table keys without a copy
-    out = ()
+    out = prefix
     pending = list(reversed(word))
     while pending:
         x = pending.pop()

@@ -103,6 +103,22 @@ def test_complex_bytes_pinned(source, radius):
     assert hashlib.sha256(text.encode()).hexdigest() == _COMPLEX_SHA256[source, radius]
 
 
+@pytest.mark.parametrize("source, radius", [
+    ("F1", 8), ("F2", 7), ("Z2", 9), ("Z3", 4), ("S2", 5), (_TRIVIAL_A, 3)],
+    ids=lambda v: "a,b|a" if v == _TRIVIAL_A else None)
+def test_depth_is_normal_form_length(source, radius):
+    # a shortlex normal form is a shortest word for its element, so BFS
+    # depth (graph distance) is its length
+    if source == _TRIVIAL_A:
+        presentation = parse_presentation(source)
+        rws = knuth_bendix_bounded(presentation)
+    else:
+        presentation, rws = load(source)
+    assert rws.confluent
+    ball = build_ball(presentation, rws, radius)
+    assert ball.depth == [len(w) for w in ball.vertices]
+
+
 def test_ball_requires_confluence():
     p = parse_presentation("a, t | t a t^-1 a^-2")
     rws = knuth_bendix_bounded(p, max_rules=4)

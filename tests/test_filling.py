@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fillprobe import filling
 from fillprobe.complexes import Chain, attach_cells, build_ball, get_complex, word_to_edge_chain
 from fillprobe.errors import NotABoundaryError, NotACycleError
+from fillprobe.exactlp import LinearProgram, LPStatus, solve_lp
 from fillprobe.filling import (
     default_initial_radius,
     filling_norm_q,
@@ -14,7 +15,8 @@ from fillprobe.filling import (
     l1_norm,
     norm_with_escalation,
 )
-from fillprobe.presentation import parse_presentation
+from fillprobe.catalog import load
+from fillprobe.presentation import inverse_word, parse_presentation
 from fillprobe.rationals import Q
 from fillprobe.rewriting import knuth_bendix_bounded
 
@@ -312,3 +314,99 @@ def test_scaling_law_on_surface_boundaries(surface):
         base = filling_norm_q(b, complex_)
         for r in (Q(2), Q(-3), Q(5, 7)):
             assert filling_norm_q(b.scaled(r), complex_).value == abs(r) * base.value
+
+
+def _full_row_program(b, complex_):
+    """The filling program with one row per active edge, spanning-forest
+    edges included: the reference for the reduced one."""
+    covered = set()
+    for col in complex_.d2:
+        covered.update(col)
+    if any(e not in covered for e in b.entries):
+        return None
+    row_of = {e: i for i, e in enumerate(sorted(covered | set(b.entries)))}
+    nc = complex_.num_cells
+    rows = [dict() for _ in row_of]
+    for ci, col in enumerate(complex_.d2):
+        pos, neg = 2 * ci, 2 * ci + 1
+        for e, inc in col.items():
+            r = rows[row_of[e]]
+            r[pos] = inc
+            r[neg] = -inc
+    rhs = [0] * len(row_of)
+    for e, coeff in b.entries.items():
+        rhs[row_of[e]] = coeff
+    objective = [1] * (2 * nc)
+    return LinearProgram.make(2 * nc, rows, rhs, objective)
+
+
+# small balls with parallel edges and self-loops (a | a^3, a, b | a)
+# and finite groups; the last two attach only some of the relators'
+# cells, so some loops bound and others do not
+_DIFFERENTIAL_BALLS = [
+    ("Z2", 2, None), ("Z2", 3, None), ("Z3", 2, None), ("S2", 4, None),
+    ("a | a^3", 2, None), ("a, b | a", 2, None), ("a, b | a b a b^-1", 3, None),
+    ("a, b | a^2, b^2, a b a^-1 b^-1", 2, None),
+    ("Z2", 4, "a, b | a^2 b^2 a^-2 b^-2"),
+    ("a, b | a^2, b^2, a b a^-1 b^-1", 2, "a, b | a^2, b^2"),
+]
+_COMPLEXES: dict = {}
+
+
+def _differential_complex(source, radius, cells):
+    key = (source, radius, cells)
+    if key not in _COMPLEXES:
+        if "|" in source:
+            presentation = parse_presentation(source)
+            rws = knuth_bendix_bounded(presentation)
+        else:
+            presentation, rws = load(source)
+        if cells is not None:
+            presentation = parse_presentation(cells)
+        _COMPLEXES[key] = attach_cells(
+            build_ball(presentation, rws, radius), presentation)
+    return _COMPLEXES[key]
+
+
+def _loop(ball, steps):
+    """A closed walk from the identity: ``steps`` picks letters, then the
+    walk goes home along its end vertex's normal form, which stays in
+    the ball."""
+    v, word = 0, []
+    for step in steps:
+        letters = sorted(ball.neighbors[v])
+        x = letters[step % len(letters)]
+        word.append(x)
+        v = ball.neighbors[v][x]
+    return word_to_edge_chain(ball, tuple(word) + inverse_word(ball.vertices[v]))
+
+
+_STEPS = st.lists(st.integers(min_value=0, max_value=7), max_size=12)
+
+
+@given(st.sampled_from(_DIFFERENTIAL_BALLS), _STEPS, _STEPS,
+       st.sampled_from([Q(1), Q(-2), Q(1, 3)]),
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(-2, 2)),
+                max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_forest_rows_dropped_keep_status_and_value(ball_key, steps1, steps2,
+                                                   scale, cells):
+    # b: two closed walks plus a few cell boundaries
+    complex_ = _differential_complex(*ball_key)
+    b = _loop(complex_.ball, steps1) + _loop(complex_.ball, steps2).scaled(scale)
+    for cell, coeff in cells:
+        if complex_.num_cells:
+            b = b + Chain(1, complex_.d2[cell % complex_.num_cells]).scaled(coeff)
+    full = _full_row_program(b, complex_)
+    reduced = filling._filling_program(b, complex_)
+    if full is None:
+        assert reduced is None
+        return
+    assert len(reduced.rows) <= len(full.rows)
+    want, got = solve_lp(full), solve_lp(reduced)
+    assert got.status is want.status
+    if got.status is LPStatus.OPTIMAL:
+        assert got.value == want.value
+        # the dropped rows hold at the reduced program's optimum
+        witness = filling._witness_chain(complex_.num_cells, got.witness)
+        assert (complex_.apply_d2(witness) + (-b)).is_zero()

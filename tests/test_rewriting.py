@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillprobe.catalog import get_entry
+from fillprobe.catalog import get_entry, load
 from fillprobe.errors import IncompleteSystemError
 from fillprobe.presentation import parse_presentation, shortlex_key
 from fillprobe.rewriting import (
@@ -135,6 +135,40 @@ def test_normal_form_respects_multiplication_z2(z2, u, v):
 def test_normal_form_respects_multiplication_surface(surface, u, v):
     _, rws = surface
     assert normal_form(u + v, rws) == normal_form(normal_form(u, rws) + v, rws)
+
+
+@st.composite
+def rule_systems(draw):
+    """(ngens, shortlex-reducing rules): random sets, mostly not
+    confluent, or a confluent catalog system."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["F2", "Z2", "Z3", "S2"]))
+        presentation, rws = load(name)
+        return presentation.num_generators, rws.rules
+    ngens = draw(st.integers(min_value=1, max_value=3))
+    pairs = draw(st.lists(st.tuples(words_over(ngens, 4), words_over(ngens, 4)),
+                          max_size=6))
+    rules = {}
+    for u, v in pairs:
+        if u != v:
+            lhs, rhs = (u, v) if shortlex_key(u) > shortlex_key(v) else (v, u)
+            rules.setdefault(lhs, rhs)
+    return ngens, tuple(rules.items())
+
+
+@given(rule_systems(), st.data())
+@settings(max_examples=150)
+def test_reduce_from_irreducible_prefix(system, data):
+    # starting the scan at an irreducible prefix w gives what scanning
+    # w + v from its first letter gives, whether or not the rules are
+    # confluent
+    ngens, rules = system
+    rws = RewritingSystem(ngens, rules, RewriteStatus.INCOMPLETE)
+    w = rws.reduce(data.draw(words_over(ngens)))
+    for x in [g for g in range(1, ngens + 1)] + [-g for g in range(1, ngens + 1)]:
+        assert rws.reduce((x,), w) == rws.reduce(w + (x,))
+    v = data.draw(words_over(ngens, max_size=6))
+    assert rws.reduce(v, w) == rws.reduce(w + v)
 
 
 def _random_strategy_reduce(rws, word, rng):
