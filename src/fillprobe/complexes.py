@@ -365,16 +365,25 @@ def complex_to_json(complex_: TwoComplex) -> str:
 
 
 def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
+    """Load ``complex_to_json`` output.  A file that is well-formed but
+    inconsistent raises ValueError: a depth other than its vertex word's
+    length (normal forms are geodesic), an edge or a d2 entry naming a
+    missing vertex, edge or cell, or d1 d2 != 0."""
     data = json.loads(text)
     gens = presentation.generators
     if list(data["generators"]) != list(gens):
         raise ValueError("cached complex belongs to a different presentation")
     vertices = [parse_word(s, gens) for s in data["vertices"]]
     depth = list(data["depth"])
+    if depth != [len(w) for w in vertices]:
+        raise ValueError("vertex depths are not the lengths of their words")
+    nv, ngens = len(vertices), len(gens)
     edges = [tuple(e) for e in data["edges"]]
     index = {w: i for i, w in enumerate(vertices)}
     neighbors = [dict() for _ in vertices]
     for s, g, t in edges:
+        if not (0 <= s < nv and 0 <= t < nv and 1 <= g <= ngens):
+            raise ValueError(f"edge {(s, g, t)} is out of range")
         neighbors[s][g] = t
         neighbors[t][-g] = s
     ball = CayleyBall(data["radius"], vertices, depth, edges, index, neighbors)
@@ -383,8 +392,13 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     for e, ci, num, den in data["d2"]:
         if den != 1:
             raise ValueError("boundary coefficients must be integral")
+        if not (0 <= e < len(edges) and 0 <= ci < len(cells)):
+            raise ValueError(f"d2 entry {(e, ci)} is out of range")
         d2[ci][e] = num
-    return TwoComplex(ball, presentation, cells, d2)
+    complex_ = TwoComplex(ball, presentation, cells, d2)
+    if not d1_composed_with_d2_is_zero(complex_):
+        raise ValueError("cached boundary maps do not compose to zero")
+    return complex_
 
 
 _MEMO: dict = {}

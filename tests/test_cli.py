@@ -299,6 +299,27 @@ def test_cache_dir_recovers_from_truncated_file(tmp_path, capsys):
     clear_memo()
 
 
+def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
+    # a well-formed file with one d2 sign flipped loads as a miss
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "--radius-cap", "5",
+            "fill", "Z2", "a b a^-1 b^-1", "--radius", "4"]
+    clear_memo()
+    code, clean = run_cli(capsys, *args)
+    assert code == 0
+    (r4,) = cache.glob("*_r4.json")
+    good = r4.read_bytes()
+    data = json.loads(good)
+    data["d2"][0][2] = -data["d2"][0][2]
+    r4.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
+    clear_memo()
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert out == clean
+    assert r4.read_bytes() == good
+    clear_memo()
+
+
 def test_probe_amenable_vertex_cap_gives_capped_row(capsys):
     # Z2 balls of radius 2, 3, 4 have 13, 25 and 41 vertices
     code, out = run_cli(capsys, "--vertex-cap", "30",

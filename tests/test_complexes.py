@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +276,33 @@ def test_json_roundtrip(z2):
     assert loaded.ball.depth == complex_.ball.depth
     assert loaded.cells == complex_.cells
     assert loaded.d2 == complex_.d2
+
+
+def _corrupt(text, edit):
+    data = json.loads(text)
+    edit(data)
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _flip_first_d2_sign(data):
+    data["d2"][0][2] = -data["d2"][0][2]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["depth"].__setitem__(1, 2),
+    lambda d: d["edges"][0].__setitem__(2, len(d["vertices"])),
+    lambda d: d["edges"][0].__setitem__(1, 3),
+    lambda d: d["d2"][0].__setitem__(0, len(d["edges"])),
+    lambda d: d["d2"][0].__setitem__(1, len(d["cells"])),
+    _flip_first_d2_sign,
+], ids=["depth", "edge-endpoint", "edge-generator", "d2-edge", "d2-cell",
+        "d2-sign"])
+def test_json_rejects_inconsistent_complex(z2, edit):
+    presentation, rws = z2
+    text = complex_to_json(attach_cells(build_ball(presentation, rws, 2), presentation))
+    complex_from_json(text, presentation)
+    with pytest.raises(ValueError):
+        complex_from_json(_corrupt(text, edit), presentation)
 
 
 def test_disk_cache(tmp_path, z2):
