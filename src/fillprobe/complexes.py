@@ -1,7 +1,10 @@
 """Truncated Cayley 2-complexes with exact sparse boundary maps.
 
 A ball is built by BFS from the identity through generator moves on
-normal forms, so BFS depth equals graph distance.  Cells are relator
+normal forms, so BFS depth equals graph distance; a shortlex normal form
+is a shortest word for its element, so the depth is also the word's
+length.  A vertex's word is irreducible, so each move reduces from it
+with only the appended letter pending.  Cells are relator
 loops based at ball vertices, kept only when the whole loop stays
 inside the ball; the resulting column of the 2-boundary records signed
 edge traversals.  Vertex, edge and cell indices are stable under radius
@@ -109,8 +112,11 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                radius: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> CayleyBall:
     """BFS ball of the given radius around the identity.
 
-    Requires a confluent rewriting system; aborts with a resource error
-    if the vertex cap is exceeded.
+    A neighbor's normal form is ``rws.reduce((x,), word)``: the vertex
+    word is irreducible, so the reduction starts from it with only x
+    pending.  Each vertex's depth is its normal form's length.  Requires
+    a confluent rewriting system; aborts with a resource error if the
+    vertex cap is exceeded.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
@@ -432,8 +438,9 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
     In-process memoization always applies; if ``cache_dir`` (or the
     FILLPROBE_CACHE_DIR environment variable) is set, complexes are also
     persisted as coordinate-form JSON.  Files are replaced atomically, and
-    a file that does not load (e.g. truncated) or holds another radius is
-    rebuilt and rewritten.
+    a file that does not load (e.g. truncated), is inconsistent (see
+    ``complex_from_json``) or holds another radius is rebuilt and
+    rewritten.
     """
     key = _cache_key(presentation, rws, radius)
     complex_ = _MEMO.get(key)

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillprobe.catalog import load
+from fillprobe.catalog import CATALOG, load
 from fillprobe.complexes import (
     Chain,
     attach_cells,
@@ -73,6 +73,14 @@ def test_trivial_generator_loops_by_radius():
         assert build_ball(presentation, rws, radius).num_edges == edges
 
 
+def _system(source):
+    """A catalog entry, or the completed system of a presentation text."""
+    if source in CATALOG:
+        return load(source)
+    presentation = parse_presentation(source)
+    return presentation, knuth_bendix_bounded(presentation)
+
+
 # sha256 of complex_to_json(attach_cells(build_ball(...))) by (source, radius)
 _COMPLEX_SHA256 = {
     ("S2", 0): "cedae4c3a07189a3fb7a2f67b357f28d7f99d4eab1d368e38d3530420368e17a",
@@ -94,11 +102,7 @@ _COMPLEX_SHA256 = {
                          ids=lambda v: "a,b|a" if v == _TRIVIAL_A else None)
 def test_complex_bytes_pinned(source, radius):
     # vertex order, edge order, cells and d2 columns, byte for byte
-    if source == _TRIVIAL_A:
-        presentation = parse_presentation(source)
-        rws = knuth_bendix_bounded(presentation)
-    else:
-        presentation, rws = load(source)
+    presentation, rws = _system(source)
     complex_ = attach_cells(build_ball(presentation, rws, radius), presentation)
     text = complex_to_json(complex_)
     assert hashlib.sha256(text.encode()).hexdigest() == _COMPLEX_SHA256[source, radius]
@@ -110,11 +114,7 @@ def test_complex_bytes_pinned(source, radius):
 def test_depth_is_normal_form_length(source, radius):
     # a shortlex normal form is a shortest word for its element, so BFS
     # depth (graph distance) is its length
-    if source == _TRIVIAL_A:
-        presentation = parse_presentation(source)
-        rws = knuth_bendix_bounded(presentation)
-    else:
-        presentation, rws = load(source)
+    presentation, rws = _system(source)
     assert rws.confluent
     ball = build_ball(presentation, rws, radius)
     assert ball.depth == [len(w) for w in ball.vertices]
