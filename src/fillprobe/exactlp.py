@@ -162,6 +162,9 @@ class _BoundedSimplex:
         self.lower = lo[:self.n]
         up = iter(lo[self.n:])
         self.upper = [None if u is None else next(up) for u in upper]
+        # with every bound 0 or absent no variable is ever shifted, so
+        # _shift can skip its column scan (solve_lp's case)
+        self.bounded = any(lo)
         self.pivots = 0
 
     # -- tableau helpers -------------------------------------------------
@@ -169,6 +172,8 @@ class _BoundedSimplex:
     def _shift(self):
         """(column, scaled bound) of each nonbasic variable sitting at a
         nonzero bound."""
+        if not self.bounded:
+            return []
         out = []
         for j in range(self.ncols):
             s = self.status[j]

@@ -7,6 +7,7 @@ immediately after the generator itself, in declared generator order.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -41,13 +42,15 @@ def inverse_word(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
+@functools.cache
 def letter_rank(x: int) -> int:
     """Position of a signed letter in the shortlex alphabet."""
     return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
 
 
 def shortlex_key(word):
-    return (len(word), tuple(letter_rank(x) for x in word))
+    # map over the cached rank stays in C for every letter seen before
+    return (len(word), tuple(map(letter_rank, word)))
 
 
 def shortlex_less(u, v) -> bool:

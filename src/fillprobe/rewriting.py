@@ -8,7 +8,10 @@ local confluence (all critical pairs joinable) implies confluence.
 Bounded Knuth-Bendix completion rewrites against its one live rule
 table through the same engine that ``RewritingSystem.reduce`` uses, and
 builds a ``RewritingSystem`` (which checks every rule's order again)
-only when it returns.
+only when it returns.  It keeps the table interreduced: after each new
+rule, every rhs is irreducible under the table and no lhs contains
+another.  So a new rule lhs -> rhs can only make reducible the rules
+whose lhs or rhs contains ``lhs``; completion revisits those alone.
 """
 
 from __future__ import annotations
@@ -128,6 +131,9 @@ def _critical_pair_sources(l1, r1, l2, r2):
     overlaps (a suffix of l1 equals a prefix of l2) and strict
     inclusions of l2 inside l1.
     """
+    # both kinds place l2's first letter somewhere in l1
+    if l2[0] not in l1:
+        return
     n1, n2 = len(l1), len(l2)
     for o in range(1, min(n1, n2)):
         if l1[n1 - o:] == l2[:o]:
@@ -227,8 +233,11 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
         if len(lhs) > max_len or len(rhs) > max_len:
             return incomplete()
         # Interreduce: rules whose lhs the new rule rewrites go back to
-        # the queue; every other rhs is re-normalized against the table
-        # as it stands once the new rule is in.
+        # the queue.  Every rhs left was irreducible under the old table,
+        # and deleting rules keeps it so; the new rule's rhs is shortlex
+        # below lhs, so it cannot contain lhs.  Hence only a rhs holding
+        # lhs as a subword can reduce now, and only those are
+        # re-normalized against the table with the new rule in.
         doomed = [l2 for l2 in table
                   if len(lhs) <= len(l2) and _contains(l2, lhs)]
         for l2 in doomed:
@@ -236,7 +245,7 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
         table[lhs] = rhs
         maxlhs = max(maxlhs, len(lhs))
         table.update({l2: _reduce(r2, table, maxlhs)
-                      for l2, r2 in table.items() if l2 != lhs})
+                      for l2, r2 in table.items() if _contains(r2, lhs)})
         if len(table) > max_rules:
             return incomplete()
         current = list(table.items()) + cancels
