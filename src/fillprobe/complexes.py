@@ -3,8 +3,10 @@
 A ball is built by BFS from the identity through generator moves on
 normal forms, so BFS depth equals graph distance; a shortlex normal form
 is a shortest word for its element, so the depth is also the word's
-length.  A vertex's word is irreducible, so each move reduces from it
-with only the appended letter pending.  Cells are relator
+length.  Each vertex also keeps its state in the rewriting system's
+index automaton, and a move on letter x looks up the state after x: if
+no rewrite applies, the neighbor's normal form is the word with x
+appended, and only a move that fires a rewrite reduces.  Cells are relator
 loops based at ball vertices, kept only when the whole loop stays
 inside the ball; the resulting column of the 2-boundary records signed
 edge traversals.  Vertex, edge and cell indices are stable under radius
@@ -112,9 +114,13 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                radius: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> CayleyBall:
     """BFS ball of the given radius around the identity.
 
-    A neighbor's normal form is ``rws.reduce((x,), word)``: the vertex
-    word is irreducible, so the reduction starts from it with only x
-    pending.  Each vertex's depth is its normal form's length.  Requires
+    Every vertex word is irreducible, and each vertex keeps the state
+    its word reaches in ``rws.index_automaton``.  A move on x whose next
+    state is not terminal fires no rewrite, so the neighbor's normal
+    form is ``word + (x,)``, one letter longer: from the boundary layer
+    it lies outside the ball and is skipped without building the word.
+    Only a move into a terminal state reduces, as ``rws.reduce((x,),
+    word)``.  Each vertex's depth is its normal form's length.  Requires
     a confluent rewriting system; aborts with a resource error if the
     vertex cap is exceeded.
     """
@@ -124,12 +130,15 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
         raise ValueError("radius must be nonnegative")
     ngens = presentation.num_generators
     letters = [g for g in range(1, ngens + 1)] + [-g for g in range(1, ngens + 1)]
+    automaton = rws.index_automaton
+    goto, terminal = automaton.goto, automaton.terminal
 
     root: Word = ()
     vertices = [root]
     depth = [0]
     index = {root: 0}
     neighbors = [dict()]
+    state = [0]
     # vertices are appended in BFS order, so this visits them by depth;
     # a boundary-layer vertex only links to vertices already in the ball,
     # which by then are all found.  The radius-0 ball has no edges, not
@@ -137,13 +146,22 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     v = 0
     while radius > 0 and v < len(vertices):
         word = vertices[v]
+        row = goto[state[v]]
+        inner = depth[v] < radius
         for x in letters:
             if x in neighbors[v]:
                 continue
-            target = rws.reduce((x,), word)
+            s = row[x]
+            fires = terminal[s]
+            if fires:
+                target = rws.reduce((x,), word)
+            elif inner:
+                target = word + (x,)
+            else:
+                continue
             t = index.get(target)
             if t is None:
-                if depth[v] == radius:
+                if not inner:
                     continue
                 t = len(vertices)
                 if t >= vertex_cap:
@@ -153,6 +171,7 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                 depth.append(depth[v] + 1)
                 index[target] = t
                 neighbors.append(dict())
+                state.append(automaton.scan(target) if fires else s)
             neighbors[v][x] = t
             neighbors[t][-x] = v
         v += 1
@@ -430,6 +449,14 @@ def _cache_key(presentation: GroupPresentation, rws: RewritingSystem, radius: in
     return f"{digest}_r{radius}"
 
 
+def _holds_normal_forms(ball: CayleyBall, rws: RewritingSystem) -> bool:
+    """Whether the vertex words are distinct and irreducible, which under
+    a confluent system means they are the normal forms; O(total letters)."""
+    scan = rws.index_automaton.scan
+    return (len(ball.index) == len(ball.vertices)
+            and all(scan(word) is not None for word in ball.vertices))
+
+
 def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: int,
                 *, vertex_cap: int = DEFAULT_VERTEX_CAP,
                 cache_dir: str | None = None) -> TwoComplex:
@@ -439,8 +466,8 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
     FILLPROBE_CACHE_DIR environment variable) is set, complexes are also
     persisted as coordinate-form JSON.  Files are replaced atomically, and
     a file that does not load (e.g. truncated), is inconsistent (see
-    ``complex_from_json``) or holds another radius is rebuilt and
-    rewritten.
+    ``complex_from_json``), holds another radius, or has a vertex word
+    that is reducible or repeated is rebuilt and rewritten.
     """
     key = _cache_key(presentation, rws, radius)
     complex_ = _MEMO.get(key)
@@ -453,7 +480,9 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
                     complex_ = complex_from_json(fh.read(), presentation)
             except (ValueError, KeyError, TypeError, IndexError):
                 complex_ = None
-            if complex_ is not None and complex_.ball.radius != radius:
+            if complex_ is not None and (
+                    complex_.ball.radius != radius
+                    or not _holds_normal_forms(complex_.ball, rws)):
                 complex_ = None
         if complex_ is None:
             ball = build_ball(presentation, rws, radius, vertex_cap=vertex_cap)

@@ -12,10 +12,16 @@ only when it returns.  It keeps the table interreduced: after each new
 rule, every rhs is irreducible under the table and no lhs contains
 another.  So a new rule lhs -> rhs can only make reducible the rules
 whose lhs or rhs contains ``lhs``; completion revisits those alone.
+
+A system's index automaton (``RewritingSystem.index_automaton``) is one
+Aho-Corasick machine over its left-hand sides and the cancellation pairs,
+as in rewriting tools such as KBMAG: reading a letter after an
+irreducible word tells at once whether any rewrite applies.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
@@ -80,6 +86,87 @@ class RewritingSystem:
     def rules_key(self) -> str:
         """Canonical serialization for cache keys."""
         return repr(sorted(self.rules))
+
+    @functools.cached_property
+    def index_automaton(self) -> "IndexAutomaton":
+        """The index automaton of this system, built on first use."""
+        return _index_automaton(self.ngens, [*self._table, *(
+            lhs for lhs, _ in _cancellation_rules(self.ngens))])
+
+
+class IndexAutomaton:
+    """Aho-Corasick automaton over a set of patterns: a system's rule
+    left-hand sides and the cancellation pairs (x, -x).
+
+    State 0 is the start state.  ``goto[s][x]`` is the state after
+    reading the signed letter x in state s; a row is indexed by the
+    letter itself, so a negative letter counts from the row's end.  The
+    state after a word stands for the word's longest suffix that is a
+    prefix of some pattern.  ``terminal[s]`` holds when some pattern
+    ends at the last letter read.  Such a pattern is a suffix of that
+    longest suffix, and the failure links (the next shorter such
+    suffixes) reach it, so the flag is inherited along them.
+
+    An irreducible word contains no pattern.  So after it, a letter x
+    reaches a terminal state exactly when some rewrite applies to
+    ``word + (x,)``, necessarily one that ends at x.  A non-terminal
+    state means that ``word + (x,)`` is irreducible as it stands and
+    needs no reduction.
+    """
+
+    # a plain class: a dataclass would add about 0.5 ms to every import
+    __slots__ = ("goto", "terminal")
+
+    def __init__(self, goto: list, terminal: list):
+        self.goto = goto            # per state: next state by signed letter
+        self.terminal = terminal    # per state: some pattern ends here
+
+    def scan(self, word) -> int | None:
+        """State after reading ``word`` from the start state, or None if
+        a pattern occurs in it (the word is reducible)."""
+        goto, terminal = self.goto, self.terminal
+        state = 0
+        for x in word:
+            state = goto[state][x]
+            if terminal[state]:
+                return None
+        return state
+
+
+def _index_automaton(ngens: int, patterns) -> IndexAutomaton:
+    """Aho-Corasick automaton over nonempty ``patterns`` whose letters
+    lie in +-1..+-ngens."""
+    trie = [{}]
+    terminal = [False]
+    for pattern in patterns:
+        state = 0
+        for x in pattern:
+            nxt = trie[state].get(x)
+            if nxt is None:
+                nxt = len(trie)
+                trie[state][x] = nxt
+                trie.append({})
+                terminal.append(False)
+            state = nxt
+        terminal[state] = True
+    # breadth first, so a state's failure target (a shorter suffix) has
+    # its row and its final terminal flag before the state itself
+    fail = [0] * len(trie)
+    goto = [None] * len(trie)
+    goto[0] = [0] * (2 * ngens + 1)
+    for x, child in trie[0].items():
+        goto[0][x] = child
+    order = list(trie[0].values())
+    for state in order:
+        f = fail[state]
+        terminal[state] = terminal[state] or terminal[f]
+        row = list(goto[f])
+        for x, child in trie[state].items():
+            fail[child] = goto[f][x]
+            row[x] = child
+            order.append(child)
+        goto[state] = row
+    return IndexAutomaton(goto, terminal)
 
 
 def _reduce(word, table: dict, maxlhs: int, prefix: Word = ()) -> Word:

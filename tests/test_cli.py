@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fillprobe import cli, complexes
 from fillprobe.cli import main
 from fillprobe.complexes import clear_memo
@@ -299,8 +301,9 @@ def test_cache_dir_recovers_from_truncated_file(tmp_path, capsys):
     clear_memo()
 
 
-def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
-    # a well-formed file with one d2 sign flipped loads as a miss
+def _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, edit):
+    """Fill Z2 at radius 4, apply ``edit`` to the cached radius-4 file's
+    JSON, and fill again: same report, and the file rewritten as it was."""
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "--radius-cap", "5",
             "fill", "Z2", "a b a^-1 b^-1", "--radius", "4"]
@@ -310,7 +313,7 @@ def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
     (r4,) = cache.glob("*_r4.json")
     good = r4.read_bytes()
     data = json.loads(good)
-    data["d2"][0][2] = -data["d2"][0][2]
+    edit(data)
     r4.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
     clear_memo()
     code, out = run_cli(capsys, *args)
@@ -318,6 +321,24 @@ def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
     assert out == clean
     assert r4.read_bytes() == good
     clear_memo()
+
+
+def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
+    # a well-formed file with one d2 sign flipped loads as a miss
+    def flip_first_d2_sign(data):
+        data["d2"][0][2] = -data["d2"][0][2]
+    _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, flip_first_d2_sign)
+
+
+@pytest.mark.parametrize("new", ["b a", "a^2"],
+                         ids=["reducible-word", "repeated-word"])
+def test_cache_dir_rebuilds_file_whose_words_are_not_normal_forms(
+        tmp_path, capsys, new):
+    # vertex a b renamed to a word of the same length, so depths still
+    # check out: b a reduces to a b, and a^2 is another vertex's word
+    def rename(data):
+        data["vertices"][data["vertices"].index("a b")] = new
+    _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, rename)
 
 
 def test_probe_amenable_vertex_cap_gives_capped_row(capsys):

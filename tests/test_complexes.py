@@ -19,9 +19,9 @@ from fillprobe.complexes import (
     word_to_edge_chain,
 )
 from fillprobe.errors import IncompleteSystemError, ResourceLimitError
-from fillprobe.presentation import parse_presentation
+from fillprobe.presentation import parse_presentation, presentation_rules_from_json
 from fillprobe.rationals import Q
-from fillprobe.rewriting import knuth_bendix_bounded
+from fillprobe.rewriting import knuth_bendix_bounded, system_from_rules
 
 
 def f2_ball_size(radius):
@@ -74,11 +74,16 @@ def test_trivial_generator_loops_by_radius():
 
 
 def _system(source):
-    """A catalog entry, or the completed system of a presentation text."""
+    """A catalog entry, or a presentation text with the rules it supplies
+    or, if none, its completed system."""
     if source in CATALOG:
         return load(source)
     presentation = parse_presentation(source)
-    return presentation, knuth_bendix_bounded(presentation)
+    rules = presentation_rules_from_json(source)
+    if rules is None:
+        return presentation, knuth_bendix_bounded(presentation)
+    pairs = [(presentation.word(l), presentation.word(r)) for l, r in rules]
+    return presentation, system_from_rules(presentation.num_generators, pairs)
 
 
 # sha256 of complex_to_json(attach_cells(build_ball(...))) by (source, radius)
@@ -118,6 +123,60 @@ def test_depth_is_normal_form_length(source, radius):
     assert rws.confluent
     ball = build_ball(presentation, rws, radius)
     assert ball.depth == [len(w) for w in ball.vertices]
+
+
+def _reference_ball(presentation, rws, radius):
+    """build_ball's BFS as it was before the index automaton: every move
+    reduces from the vertex word with the appended letter pending.
+    Returns (vertices, depth, edges, index, neighbors)."""
+    ngens = presentation.num_generators
+    letters = [g for g in range(1, ngens + 1)] + [-g for g in range(1, ngens + 1)]
+    vertices, depth, index, neighbors = [()], [0], {(): 0}, [dict()]
+    v = 0
+    while radius > 0 and v < len(vertices):
+        word = vertices[v]
+        for x in letters:
+            if x in neighbors[v]:
+                continue
+            target = rws.reduce((x,), word)
+            t = index.get(target)
+            if t is None:
+                if depth[v] == radius:
+                    continue
+                t = len(vertices)
+                vertices.append(target)
+                depth.append(depth[v] + 1)
+                index[target] = t
+                neighbors.append(dict())
+            neighbors[v][x] = t
+            neighbors[t][-x] = v
+        v += 1
+    raw_edges = sorted(
+        (max(depth[v], depth[t]), v, g, t)
+        for v in range(len(vertices)) for g in range(1, ngens + 1)
+        if (t := neighbors[v].get(g)) is not None)
+    edges = [(v, g, t) for _, v, g, t in raw_edges]
+    return vertices, depth, edges, index, neighbors
+
+
+# S3 = <a, b | a^2, b^2, (ab)^3> with its confluent rules supplied in the
+# file; a^-1 -> a and b^-1 -> b have one-letter left-hand sides
+_S3_RULES_FILE = json.dumps({
+    "generators": ["a", "b"], "relators": ["a^2", "b^2", "a b a b a b"],
+    "rules": [["a^-1", "a"], ["b^-1", "b"], ["a^2", ""], ["b^2", ""],
+              ["b a b", "a b a"]]})
+
+
+@pytest.mark.parametrize(
+    "source, radius",
+    [*_COMPLEX_SHA256, ("F1", 8), (_S3_RULES_FILE, 2), (_S3_RULES_FILE, 4)],
+    ids=lambda v: {_TRIVIAL_A: "a,b|a", _S3_RULES_FILE: "S3-rules-file"}.get(v))
+def test_ball_matches_reference_ball(source, radius):
+    presentation, rws = _system(source)
+    assert rws.confluent
+    ball = build_ball(presentation, rws, radius)
+    assert (ball.vertices, ball.depth, ball.edges, ball.index,
+            ball.neighbors) == _reference_ball(presentation, rws, radius)
 
 
 def test_ball_requires_confluence():

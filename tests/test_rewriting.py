@@ -184,6 +184,33 @@ def test_reduce_from_irreducible_prefix(system, data):
     assert rws.reduce(v, w) == rws.reduce(w + v)
 
 
+# a b a is a prefix of the lhs a b a a and ends in the lhs b a, so the
+# state after a b a is terminal only through its failure link
+_INHERITED_TERMINAL = (2, (((1, 2, 1, 1), ()), ((2, 1), (1, 2))))
+
+
+@given(rule_systems(), words_over(3), words_over(3))
+@example(_INHERITED_TERMINAL, (1, 2), ())
+@settings(max_examples=150)
+def test_index_automaton_flags_exactly_the_moves_that_rewrite(system, w, u):
+    # after an irreducible w, letter x reaches a terminal state exactly
+    # when reducing w + (x,) changes it, confluent rules or not; scanning
+    # any word stops (None) exactly when it is reducible
+    ngens, rules = system
+    rws = RewritingSystem(ngens, rules, RewriteStatus.INCOMPLETE)
+    automaton = rws.index_automaton
+    w = rws.reduce(tuple(x for x in w if abs(x) <= ngens))
+    state = automaton.scan(w)
+    assert state is not None
+    for x in [g for g in range(1, ngens + 1)] + [-g for g in range(1, ngens + 1)]:
+        fires = automaton.terminal[automaton.goto[state][x]]
+        assert fires == (rws.reduce((x,), w) != w + (x,))
+        if not fires:
+            assert automaton.scan(w + (x,)) == automaton.goto[state][x]
+    u = tuple(x for x in u if abs(x) <= ngens)
+    assert (automaton.scan(u) is None) == (rws.reduce(u) != u)
+
+
 def _random_strategy_reduce(rws, word, rng):
     """Apply applicable rewrites (rules and cancellations) at random
     positions until irreducible."""
