@@ -13,7 +13,8 @@ import pytest
 from fillprobe.cli import main
 from fillprobe.complexes import clear_memo
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 CASES = {
     "fill_z2_commutator_r2": ["--radius-cap", "3", "fill", "Z2", "a b a^-1 b^-1",
@@ -25,6 +26,8 @@ CASES = {
     "probe_hyperbolic_z2_sampled_seed3": ["--seed", "3", "probe", "hyperbolic", "Z2",
                                           "--mode", "sampled", "--k-max", "8"],
     "ball_s2_r2": ["ball", "S2", "--radius", "2"],
+    # <a | a^3, a^6>: the Q optimum 1/2 is fractional, so Z branches
+    "fill_z3_cube_sixth_a3": ["fill", str(DATA / "z3_cube_sixth.txt"), "a^3"],
 }
 
 
