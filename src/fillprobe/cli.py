@@ -38,7 +38,7 @@ from .probes import (
     probe_amenability,
     probe_hyperbolicity,
 )
-from .rewriting import knuth_bendix_bounded, normal_form, system_from_rules
+from .rewriting import knuth_bendix_bounded, system_from_rules
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
@@ -154,7 +154,7 @@ def _config(args) -> ProbeConfig:
         vertex_cap=args.vertex_cap,
         walk_cap=args.walk_cap,
         node_budget=args.node_budget,
-        cache_dir=args.cache_dir or os.environ.get("FILLPROBE_CACHE_DIR"),
+        cache_dir=args.cache_dir,
     )
 
 
@@ -256,20 +256,20 @@ def _cmd_fill(args) -> int:
     if failure is not None:
         return failure
     word = presentation.word(args.word)
-    if normal_form(word, rws) != ():
-        _emit(args, {"error": "word is not closed (does not represent the identity)",
-                     "word": args.word})
-        return EXIT_NOT_CLOSED
-    cache_dir = args.cache_dir or os.environ.get("FILLPROBE_CACHE_DIR")
-    # the walk must stay inside the starting ball
+    # the walk must stay inside the starting ball; its last vertex is
+    # the word's normal form
     prefix_reach = 0
     prefix = ()
     for x in word:
         prefix = rws.reduce((x,), prefix)
         prefix_reach = max(prefix_reach, len(prefix))
+    if prefix != ():
+        _emit(args, {"error": "word is not closed (does not represent the identity)",
+                     "word": args.word})
+        return EXIT_NOT_CLOSED
     try:
         reach = get_complex(presentation, rws, prefix_reach,
-                            vertex_cap=args.vertex_cap, cache_dir=cache_dir)
+                            vertex_cap=args.vertex_cap, cache_dir=args.cache_dir)
         chain = word_to_edge_chain(reach.ball, word)
     except ResourceLimitError as exc:
         _emit(args, {"error": str(exc)})
@@ -281,10 +281,10 @@ def _cmd_fill(args) -> int:
         # vertex cap (but never below the loop's own reach)
         target = max(prefix_reach, default_initial_radius(chain, presentation))
         r_start = _max_feasible_radius(presentation, rws, prefix_reach, target,
-                                       args.vertex_cap, cache_dir)
+                                       args.vertex_cap, args.cache_dir)
     r_max = args.radius_cap if args.radius_cap is not None else \
         _max_feasible_radius(presentation, rws, r_start, r_start + 2,
-                             args.vertex_cap, cache_dir)
+                             args.vertex_cap, args.cache_dir)
     if r_max < r_start:
         _emit(args, {"error": "radius cap below the required starting radius"})
         return EXIT_RESOURCE
@@ -301,7 +301,7 @@ def _cmd_fill(args) -> int:
             cert = norm_with_escalation(
                 chain, presentation, rws, r_start, r_max, ring=ring,
                 vertex_cap=args.vertex_cap, node_budget=args.node_budget,
-                cache_dir=cache_dir)
+                cache_dir=args.cache_dir)
             report["certificates"][ring] = cert.to_dict()
     except NotABoundaryError as exc:
         report["error"] = f"NoWithinBall: {exc}"

@@ -1,15 +1,16 @@
 """Exact rational linear and integer programming.
 
-The core is a dense-tableau two-phase simplex over exact rationals with
-native lower/upper variable bounds (bound flips instead of extra rows).
-The tableau is fraction-free: each row is a list of Python ints over one
-positive int denominator, eliminated by integer cross-multiplication
-(Edmonds 1967, Bareiss 1968) and reduced by its gcd, so no rational
-object is built per entry; values leave as rationals.  Pivoting follows
-Bland's rule (first improving column, smallest leaving index on ties)
-for its termination guarantee.  Integer programs are
-solved by depth-first branch and bound on variable bounds, each node
-relaxation solved exactly.
+The core is a dense-tableau two-phase simplex over exact rationals for
+the standard form min c.x subject to A x = b, x >= 0.  The tableau is
+fraction-free: each row is a list of Python ints over one positive int
+denominator, eliminated by integer cross-multiplication (Edmonds 1967,
+Bareiss 1968) and reduced by its gcd, so no rational object is built per
+entry; values leave as rationals.  Pivoting follows Bland's rule (first
+improving column, smallest leaving index on ties) for its termination
+guarantee.  Integer programs are solved by depth-first branch and bound
+that adds each branch bound as a row with its own slack column (Land and
+Doig 1960), so every node is again a standard-form program, solved
+exactly.
 
 Every Optimal result is verified against its instance (exact residuals,
 exact objective match) before being returned.
@@ -32,10 +33,6 @@ from enum import Enum
 
 from .errors import FillprobeError, NodeBudgetError
 from .rationals import Q, qstr
-
-AT_LOWER = 0
-AT_UPPER = 1
-BASIC = 2
 
 DEFAULT_NODE_BUDGET = 100_000
 
@@ -133,8 +130,8 @@ def _combine(row, den, a, b, prow, nz):
     return row, den
 
 
-class _BoundedSimplex:
-    """min c.x  s.t.  A x = b,  lower <= x <= upper (upper None = +inf).
+class _Simplex:
+    """min c.x  s.t.  A x = b,  x >= 0.
 
     The tableau is fraction-free: row i is a list of Python ints
     ``T[i]`` over one positive int ``den[i]``, so each entry keeps
@@ -144,77 +141,32 @@ class _BoundedSimplex:
     other rows by integer cross-multiplication; where the pivot row's
     denominator divides the eliminated entry (always, when it is 1) only
     the pivot row's nonzero columns change.  The reduced-cost row is
-    held the same way.  Variable bounds are ints over one common
-    denominator ``scale``.  Values leave as rationals (``Q``).
+    held the same way.  Row i's basic variable has the value
+    T[i][ncols] / den[i]; every nonbasic variable is 0.  Values leave as
+    rationals (``Q``).
     """
 
-    def __init__(self, rows, rhs, objective, lower, upper):
-        """Coefficients, rhs, costs and bounds are ints or rationals."""
+    def __init__(self, rows, rhs, objective):
+        """Coefficients, rhs and costs are ints or rationals."""
         self.m = len(rows)
         self.n = len(objective)
         self.rows = rows
         self.rhs = rhs
         self.c = objective
-        for j in range(self.n):
-            if upper[j] is not None and upper[j] < lower[j]:
-                raise ValueError("empty variable bound interval")
-        lo, self.scale = _int_row([*lower, *(u for u in upper if u is not None)])
-        self.lower = lo[:self.n]
-        up = iter(lo[self.n:])
-        self.upper = [None if u is None else next(up) for u in upper]
-        # with every bound 0 or absent no variable is ever shifted, so
-        # _shift can skip its column scan (solve_lp's case)
-        self.bounded = any(lo)
         self.pivots = 0
-
-    # -- tableau helpers -------------------------------------------------
-
-    def _shift(self):
-        """(column, scaled bound) of each nonbasic variable sitting at a
-        nonzero bound."""
-        if not self.bounded:
-            return []
-        out = []
-        for j in range(self.ncols):
-            s = self.status[j]
-            if s == BASIC:
-                continue
-            v = self.lower[j] if s == AT_LOWER else self.upper[j]
-            if v:
-                out.append((j, v))
-        return out
-
-    def _beta(self, i, shift):
-        """Row i's basic variable value times scale * den[i], an int."""
-        row = self.T[i]
-        v = row[self.ncols] * self.scale
-        for j, val in shift:
-            t = row[j]
-            if t:
-                v -= t * val
-        return v
-
-    def _nb_value(self, j):
-        v = self.lower[j] if self.status[j] == AT_LOWER else self.upper[j]
-        return Q(v, self.scale)
-
-    # -- main entry ------------------------------------------------------
 
     def solve(self):
         zero = Q(0)
         m, n = self.m, self.n
         # columns: structural 0..n-1, artificial n..n+m-1, rhs at index ncols
         self.ncols = ncols = n + m
-        self.status = [AT_LOWER] * n + [BASIC] * m
+        self.basic = [False] * n + [True] * m
         self.T, self.den = [], []
         for i in range(m):
             cols = list(self.rows[i])
             nums, d = _int_row([self.rows[i][j] for j in cols] + [self.rhs[i]])
-            # sign of the residual at the initial point, all x at lower
-            res = nums[-1] * self.scale
-            for j, a in zip(cols, nums):
-                res -= a * self.lower[j]
-            s = 1 if res >= 0 else -1
+            # each artificial starts at |b_i|
+            s = 1 if nums[-1] >= 0 else -1
             row = [0] * (ncols + 1)
             for j, a in zip(cols, nums):
                 row[j] = s * a
@@ -223,8 +175,6 @@ class _BoundedSimplex:
             self.T.append(row)
             self.den.append(d)
         self.basis = [n + i for i in range(m)]
-        self.lower.extend([0] * m)
-        self.upper.extend([None] * m)
         self.banned = set()
 
         # phase 1: drive sum of artificials to zero
@@ -238,11 +188,10 @@ class _BoundedSimplex:
         outcome = self._iterate(D, dD)
         if outcome == "unbounded":
             raise SolverError("phase 1 reported an unbounded objective")
-        shift = self._shift()
         infeas = zero
         for i in range(self.m):
             if self.basis[i] >= n:
-                infeas += Q(self._beta(i, shift), self.scale * self.den[i])
+                infeas += Q(self.T[i][ncols], self.den[i])
         if infeas > 0:
             return LPStatus.INFEASIBLE, None, None
         self._expel_artificials()
@@ -266,13 +215,8 @@ class _BoundedSimplex:
             return LPStatus.UNBOUNDED, None, None
 
         values = [zero] * n
-        shift = self._shift()
         for i in range(self.m):
-            values[self.basis[i]] = Q(self._beta(i, shift),
-                                      self.scale * self.den[i])
-        for j in range(n):
-            if self.status[j] != BASIC:
-                values[j] = self._nb_value(j)
+            values[self.basis[i]] = Q(self.T[i][ncols], self.den[i])
         obj = zero
         for j in range(n):
             if values[j] and self.c[j]:
@@ -290,21 +234,20 @@ class _BoundedSimplex:
             row = self.T[i]
             pivot_col = None
             for j in range(n):
-                if self.status[j] != BASIC and row[j] \
-                        and self.lower[j] != self.upper[j]:
+                if not self.basic[j] and row[j]:
                     pivot_col = j
                     break
             if pivot_col is None:
                 drop.append(i)
             else:
-                self._pivot(i, pivot_col, degenerate_entry=True)
+                self._pivot(i, pivot_col)
         for i in reversed(drop):
             del self.T[i]
             del self.den[i]
             del self.basis[i]
             self.m -= 1
 
-    def _pivot(self, r, j, degenerate_entry=False):
+    def _pivot(self, r, j):
         """Row operations making column j basic in row r; returns the
         pivot row's nonzero columns."""
         T, den = self.T, self.den
@@ -328,76 +271,42 @@ class _BoundedSimplex:
             if f and i != r:
                 g = math.gcd(piv, f)
                 T[i], den[i] = _combine(T[i], den[i], piv // g, f // g, row_r, nz)
-        old = self.basis[r]
+        self.basic[self.basis[r]] = False
         self.basis[r] = j
-        self.status[j] = BASIC
-        if degenerate_entry:
-            self.status[old] = AT_LOWER
+        self.basic[j] = True
         return nz
 
     def _iterate(self, D, dD):
         """Pivot until no improving nonbasic candidate remains; the
         entering variable is the first improving one (Bland).  ``D`` is
         the reduced-cost row, ints over ``dD``."""
-        T, den, basis = self.T, self.den, self.basis
-        status, lower, upper = self.status, self.lower, self.upper
+        T, den, basis, basic = self.T, self.den, self.basis, self.basic
         while True:
             for j in range(self.ncols):
-                s = status[j]
-                if s == BASIC or j in self.banned or lower[j] == upper[j]:
-                    continue
-                if s == AT_LOWER and D[j] < 0:
-                    sg = 1
-                    break
-                if s == AT_UPPER and D[j] > 0:
-                    sg = -1
+                if D[j] < 0 and not basic[j] and j not in self.banned:
                     break
             else:
                 return "optimal"
 
-            shift = self._shift()
-            # step lengths are compared as num / (dn * scale), dn > 0;
-            # the own-gap candidate flips j to its opposite bound
-            limit = None if upper[j] is None else (upper[j] - lower[j], 1)
+            # ratio test: the least T[i][ncols] / T[i][j] over rows with
+            # T[i][j] > 0, ties to the smallest leaving index (Bland)
             leaving_row = None
             for i in range(self.m):
                 t = T[i][j]
-                if not t:
+                if t <= 0:
                     continue
-                k = basis[i]
-                st = sg * t
-                if st > 0:
-                    num = self._beta(i, shift) - lower[k] * den[i]
-                    hits = AT_LOWER
-                else:
-                    if upper[k] is None:
+                num = T[i][self.ncols]
+                if leaving_row is not None:
+                    lhs, rhs = num * best_t, best_num * t
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving_row]):
                         continue
-                    num = upper[k] * den[i] - self._beta(i, shift)
-                    st = -st
-                    hits = AT_UPPER
-                # ties: prefer a basis change over a flip, then the
-                # smallest leaving variable index (Bland)
-                if limit is None:
-                    better = True
-                else:
-                    lhs, rhs = num * limit[1], limit[0] * st
-                    better = lhs < rhs or (lhs == rhs and (
-                        leaving_row is None or k < basis[leaving_row]))
-                if better:
-                    limit = (num, st)
-                    leaving_row = i
-                    leaving_to = hits
-            if limit is None:
+                best_num, best_t, leaving_row = num, t, i
+            if leaving_row is None:
                 return "unbounded"
 
             self.pivots += 1
-            if leaving_row is None:
-                # bound flip: no basis change
-                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
-                continue
             old = basis[leaving_row]
             nz = self._pivot(leaving_row, j)
-            status[old] = leaving_to
             if old >= self.n:
                 self.banned.add(old)
             # update the reduced-cost row
@@ -421,8 +330,7 @@ def _verify_equalities(rows, rhs, values):
 
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Exact optimum of a standard-form LP at a basic feasible solution."""
-    simplex = _BoundedSimplex(list(lp.rows), list(lp.rhs), list(lp.objective),
-                              [Q(0)] * lp.num_vars, [None] * lp.num_vars)
+    simplex = _Simplex(list(lp.rows), list(lp.rhs), list(lp.objective))
     status, values, obj = simplex.solve()
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, pivots=simplex.pivots)
@@ -439,48 +347,55 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     return LPResult(LPStatus.OPTIMAL, obj, witness, simplex.pivots)
 
 
-def _solve_bounded(lp: LinearProgram, lower, upper):
-    for lo, up in zip(lower, upper):
-        if up is not None and up < lo:
-            return LPStatus.INFEASIBLE, None, None, 0
-    simplex = _BoundedSimplex(list(lp.rows), list(lp.rhs), list(lp.objective),
-                              list(lower), list(upper))
+def _solve_node(lp: LinearProgram, bounds):
+    """``lp`` under branch bounds (j, sign, v), each one row with its own
+    slack column s: x_j + s = v for sign 1 (x_j <= v), x_j - s = v for
+    sign -1 (x_j >= v).  Returns status, the original variables' values,
+    objective and pivots."""
+    n = lp.num_vars
+    rows, rhs = list(lp.rows), list(lp.rhs)
+    for k, (j, sign, v) in enumerate(bounds):
+        rows.append({j: Q(1), n + k: Q(sign)})
+        rhs.append(v)
+    simplex = _Simplex(rows, rhs, [*lp.objective, *[Q(0)] * len(bounds)])
     status, values, obj = simplex.solve()
+    if values is not None:
+        values = values[:n]
     return status, values, obj, simplex.pivots
+
+
+def _branch(bounds, j, sign, v):
+    """``bounds`` with x_j's bound on side ``sign`` set to v (a branch
+    only ever tightens it, so the old row is dropped)."""
+    return tuple(b for b in bounds if b[:2] != (j, sign)) + ((j, sign, v),)
 
 
 def _is_integer(v) -> bool:
     return v.denominator == 1
 
 
-def solve_ilp(lp: LinearProgram, integrality=None, *,
+def solve_ilp(lp: LinearProgram, *,
               node_budget: int = DEFAULT_NODE_BUDGET) -> LPResult:
-    """Branch and bound over exact LP relaxations.
+    """Integral optimum by branch and bound over exact LP relaxations.
 
-    ``integrality``: per-variable mask; None means every variable.
-    Branching picks the most-fractional variable and explores the floor
-    branch first.  Exhausting the node budget raises NodeBudgetError
-    carrying the best lower/upper bounds known.
+    Every variable is integral.  The search is depth first; a node is a
+    tuple of branch bounds, each added to the program as a row (Land and
+    Doig 1960; see ``_solve_node``).  Branching picks the most-fractional
+    variable and explores the floor branch first.  Exhausting the node
+    budget raises NodeBudgetError carrying the best lower/upper bounds
+    known.
     """
-    if integrality is None:
-        integrality = [True] * lp.num_vars
-    if len(integrality) != lp.num_vars:
-        raise ValueError("integrality mask length mismatch")
-
-    root_lower = tuple([Q(0)] * lp.num_vars)
-    root_upper = tuple([None] * lp.num_vars)
-    stack = [(root_lower, root_upper, None)]
+    stack = [((), None)]
     incumbent_value = None
     incumbent = None
     nodes = 0
     total_pivots = 0
-    root_unbounded = False
 
     while stack:
-        lower, upper, parent_bound = stack.pop()
+        bounds, parent_bound = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            open_bounds = [pb for (_, _, pb) in stack if pb is not None]
+            open_bounds = [pb for (_, pb) in stack if pb is not None]
             if parent_bound is not None:
                 open_bounds.append(parent_bound)
             lower_bound = min(open_bounds) if open_bounds else incumbent_value
@@ -489,21 +404,17 @@ def solve_ilp(lp: LinearProgram, integrality=None, *,
                 limit=node_budget, lower=lower_bound,
                 upper=incumbent_value,
                 witness=incumbent)
-        status, values, obj, pivots = _solve_bounded(lp, lower, upper)
+        status, values, obj, pivots = _solve_node(lp, bounds)
         total_pivots += pivots
         if status is LPStatus.UNBOUNDED:
-            if nodes == 1:
-                root_unbounded = True
-            break
+            # only the root can be: every node's polytope lies inside the root's
+            return LPResult(LPStatus.UNBOUNDED, pivots=total_pivots)
         if status is not LPStatus.OPTIMAL:
             continue
         if incumbent_value is not None and obj >= incumbent_value:
             continue
         frac_var, frac_dist = None, Q(0)
-        for j in range(lp.num_vars):
-            if not integrality[j]:
-                continue
-            v = values[j]
+        for j, v in enumerate(values):
             if _is_integer(v):
                 continue
             f = v - math.floor(v)
@@ -514,30 +425,20 @@ def solve_ilp(lp: LinearProgram, integrality=None, *,
             incumbent_value = obj
             incumbent = {j: v for j, v in enumerate(values) if v}
             continue
-        v = values[frac_var]
-        fl = Q(math.floor(v))
-        ce = fl + 1
-        up_branch = (tuple(max(lower[j], ce) if j == frac_var else lower[j]
-                           for j in range(lp.num_vars)), upper, obj)
-        new_upper = list(upper)
-        cur_up = new_upper[frac_var]
-        new_upper[frac_var] = fl if cur_up is None else min(cur_up, fl)
-        down_branch = (lower, tuple(new_upper), obj)
-        stack.append(up_branch)
-        stack.append(down_branch)
+        fl = math.floor(values[frac_var])
+        stack.append((_branch(bounds, frac_var, -1, Q(fl + 1)), obj))
+        stack.append((_branch(bounds, frac_var, 1, Q(fl)), obj))
 
-    if root_unbounded:
-        return LPResult(LPStatus.UNBOUNDED, pivots=total_pivots)
     if incumbent is None:
         return LPResult(LPStatus.INFEASIBLE, pivots=total_pivots)
     values = [Q(0)] * lp.num_vars
     for j, v in incumbent.items():
         values[j] = v
     _verify_equalities(lp.rows, lp.rhs, values)
-    for j in range(lp.num_vars):
-        if integrality[j] and not _is_integer(values[j]):
+    for v in values:
+        if not _is_integer(v):
             raise SolverError("integral witness has a fractional entry")
-        if values[j] < 0:
+        if v < 0:
             raise SolverError("witness violates nonnegativity")
     return LPResult(LPStatus.OPTIMAL, incumbent_value, dict(incumbent), total_pivots)
 

@@ -1,16 +1,15 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fillprobe.errors import NodeBudgetError
 from fillprobe.exactlp import (
-    AT_LOWER,
-    AT_UPPER,
-    BASIC,
     LinearProgram,
     LPStatus,
-    _BoundedSimplex,
+    _Simplex,
+    _solve_node,
     solve_ilp,
     solve_lp,
     solve_minmax,
@@ -91,16 +90,6 @@ def test_ilp_gap_instance():
             if x0 + 2 * x1 == 3:
                 best = min(best, x0 + x1) if best is not None else x0 + x1
     assert integral.value == best
-
-
-def test_ilp_partial_integrality_mask():
-    problem = lp(2, [{0: 1, 1: 2}], [3], [1, 1])
-    # forcing x1 integral costs: best is (1, 1)
-    r = solve_ilp(problem, integrality=[False, True])
-    assert r.optimal and r.value == 2
-    # x0 is already integral at the relaxation vertex (0, 3/2)
-    r = solve_ilp(problem, integrality=[True, False])
-    assert r.optimal and r.value == Q(3, 2)
 
 
 def test_ilp_node_budget():
@@ -228,8 +217,9 @@ def _homogenized_minmax(rows, rhs, num_vars, free):
     objective[s_col] = Q(-1)
     upper = [Q(1)] * ncols
     upper[s_col] = None
-    simplex = _BoundedSimplex(sim_rows, [Q(0)] * len(rows), objective,
-                              [Q(0)] * ncols, upper)
+    # the unit box needs upper bounds, which only the reference has
+    simplex = _FractionSimplex(sim_rows, [Q(0)] * len(rows), objective,
+                               [Q(0)] * ncols, upper)
     status, _, obj = simplex.solve()
     assert status is LPStatus.OPTIMAL
     if obj == 0:
@@ -395,10 +385,17 @@ def test_optimum_matches_basic_solution_enumeration():
 
 # -- the integer tableau against the rational one it replaced -------------
 
+AT_LOWER = 0
+AT_UPPER = 1
+BASIC = 2
+
+
 class _FractionSimplex:
-    """The rational-tableau simplex that ``_BoundedSimplex`` replaced, kept
-    as the reference: every tableau entry is a ``Q``, pivots follow
-    Bland's rule exactly as in ``_BoundedSimplex``."""
+    """The rational-tableau simplex, kept as the reference: every tableau
+    entry is a ``Q``, and variables carry native lower/upper bounds (bound
+    flips instead of extra rows), which ``_Simplex`` no longer has.  At
+    zero lower bounds and no upper bounds its pivots follow Bland's rule
+    exactly as in ``_Simplex``."""
 
     def __init__(self, rows, rhs, objective, lower, upper):
         self.m = len(rows)
@@ -699,15 +696,122 @@ def bounded_lps(draw):
 @given(bounded_lps())
 @settings(max_examples=400, deadline=None)
 def test_integer_tableau_matches_fraction_tableau(problem):
-    rows, rhs, objective, lower, upper = problem
-    new = _BoundedSimplex(rows, rhs, objective, lower, upper)
-    ref = _FractionSimplex(rows, rhs, objective, lower, upper)
+    rows, rhs, objective, _, _ = problem
+    n = len(objective)
+    new = _Simplex(rows, rhs, objective)
+    ref = _FractionSimplex(rows, rhs, objective, [0] * n, [None] * n)
     status, values, obj = new.solve()
     assert (status, values, obj) == ref.solve()
     assert new.pivots == ref.pivots
     if status is LPStatus.OPTIMAL:
         assert all(type(v) is RationalType for v in values)
         assert type(obj) is RationalType
+
+
+@given(bounded_lps())
+@settings(max_examples=200, deadline=None)
+def test_bound_rows_match_native_bounds(problem):
+    """A bound added as a row with its own slack column, as branch and
+    bound adds it, gives the optimum of the reference's native bound."""
+    rows, rhs, objective, lower, upper = problem
+    bounds = [(j, -1, lo) for j, lo in enumerate(lower) if lo] + \
+        [(j, 1, up) for j, up in enumerate(upper) if up is not None]
+    problem = lp(len(objective), rows, rhs, objective)
+    status, values, obj, _ = _solve_node(problem, bounds)
+    ref_status, _, ref_obj = _FractionSimplex(rows, rhs, objective,
+                                              lower, upper).solve()
+    assert (status, obj) == (ref_status, ref_obj)
+    if status is LPStatus.OPTIMAL:
+        assert len(values) == len(objective)
+        for v, lo, up in zip(values, lower, upper):
+            assert lo <= v and (up is None or v <= up)
+
+
+# -- branch and bound by rows against branching on native bounds --------
+
+def _reference_branch_and_bound(problem, node_budget):
+    """The branch and bound that ``solve_ilp`` replaced: each node holds
+    lower/upper bound tuples and the reference tableau solves it with
+    native bounds.  Returns status and value, or raises NodeBudgetError.
+    """
+    n = problem.num_vars
+    stack = [(tuple([Q(0)] * n), tuple([None] * n))]
+    incumbent_value, found, nodes = None, False, 0
+    while stack:
+        lower, upper = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise NodeBudgetError("reference budget", limit=node_budget, lower=None)
+        if any(up is not None and up < lo for lo, up in zip(lower, upper)):
+            continue
+        status, values, obj = _FractionSimplex(
+            list(problem.rows), list(problem.rhs), list(problem.objective),
+            list(lower), list(upper)).solve()
+        if status is LPStatus.UNBOUNDED:
+            if nodes == 1:
+                return LPStatus.UNBOUNDED, None
+            break
+        if status is not LPStatus.OPTIMAL:
+            continue
+        if incumbent_value is not None and obj >= incumbent_value:
+            continue
+        frac_var, frac_dist = None, Q(0)
+        for j in range(n):
+            v = values[j]
+            if v.denominator == 1:
+                continue
+            f = v - math.floor(v)
+            dist = min(f, 1 - f)
+            if dist > frac_dist:
+                frac_var, frac_dist = j, dist
+        if frac_var is None:
+            incumbent_value, found = obj, True
+            continue
+        fl = Q(math.floor(values[frac_var]))
+        up_branch = tuple(max(lower[j], fl + 1) if j == frac_var else lower[j]
+                          for j in range(n))
+        new_upper = list(upper)
+        cur = new_upper[frac_var]
+        new_upper[frac_var] = fl if cur is None else min(cur, fl)
+        stack.append((up_branch, upper))
+        stack.append((lower, tuple(new_upper)))
+    if not found:
+        return LPStatus.INFEASIBLE, None
+    return LPStatus.OPTIMAL, incumbent_value
+
+
+_GAP = ([{0: Q(1), 1: Q(2)}], [Q(3)], [Q(1), Q(1)], [Q(0)] * 2, [None] * 2)
+_KNAPSACK = ([{j: Q(2 * j + 3) for j in range(8)}], [Q(31)], [Q(1)] * 8,
+             [Q(0)] * 8, [None] * 8)
+
+
+@given(bounded_lps())
+@example(_GAP)
+@example(_KNAPSACK)
+@settings(max_examples=100, deadline=None)
+def test_ilp_matches_reference_branch_and_bound(problem):
+    """Status and value equal the native-bound search's; witnesses may
+    differ between tied optima, and so may the trees.
+
+    About a third of drawn programs branch at all.  About one in ten (an
+    integer-infeasible program with free directions can branch forever)
+    exhausts the reference's budget and is not compared; ``solve_ilp``
+    gets five times that budget, so a search that stops closing its
+    branches fails here instead of being skipped.  Pinned: the gap
+    instance (3 nodes) and the knapsack of ``test_ilp_node_budget`` (141
+    nodes on both sides)."""
+    rows, rhs, objective, _, _ = problem
+    problem = lp(len(objective), rows, rhs, [abs(c) for c in objective])
+    try:
+        expected = _reference_branch_and_bound(problem, node_budget=200)
+    except NodeBudgetError:
+        return
+    result = solve_ilp(problem, node_budget=1000)
+    assert (result.status, result.value) == expected
+    if result.optimal:
+        assert all(v.denominator == 1 for v in result.witness.values())
+        assert sum((problem.objective[j] * v
+                    for j, v in result.witness.items()), Q(0)) == result.value
 
 
 @given(bounded_lps())
