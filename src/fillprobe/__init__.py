@@ -54,7 +54,6 @@ from .exactlp import (
 from .filling import (
     BoundaryCheck,
     FillingCertificate,
-    default_initial_radius,
     filling_norm_q,
     filling_norm_z,
     is_boundary,

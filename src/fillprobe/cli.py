@@ -27,7 +27,7 @@ from .errors import (
     PresentationSyntaxError,
     ResourceLimitError,
 )
-from .filling import RING_Q, RING_Z, default_initial_radius, norm_with_escalation
+from .filling import RING_Q, RING_Z, norm_with_escalation
 from .presentation import parse_presentation, presentation_rules_from_json
 from .rationals import qstr
 from .probes import (
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("word", help="closed word, e.g. 'a b a^-1 b^-1'")
     p.add_argument("--radius", type=int, default=None,
-                   help="starting ball radius (default: heuristic)")
+                   help="starting ball radius (default: the loop's reach)")
 
     p = sub.add_parser("fv", help="tabulate the filling-function estimate")
     p.add_argument("source")
@@ -274,14 +274,9 @@ def _cmd_fill(args) -> int:
     except ResourceLimitError as exc:
         _emit(args, {"error": str(exc)})
         return EXIT_RESOURCE
-    if args.radius is not None:
-        r_start = max(args.radius, prefix_reach)
-    else:
-        # heuristic default, clamped so the starting ball respects the
-        # vertex cap (but never below the loop's own reach)
-        target = max(prefix_reach, default_initial_radius(chain, presentation))
-        r_start = _max_feasible_radius(presentation, rws, prefix_reach, target,
-                                       args.vertex_cap, args.cache_dir)
+    # the radius only has to hold the loop: a value in a ball is exact
+    # for that ball and an upper bound for the group
+    r_start = max(args.radius or 0, prefix_reach)
     r_max = args.radius_cap if args.radius_cap is not None else \
         _max_feasible_radius(presentation, rws, r_start, r_start + 2,
                              args.vertex_cap, args.cache_dir)

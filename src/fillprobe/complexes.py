@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import IncompleteSystemError, ResourceLimitError
+from .errors import IncompleteSystemError, PresentationSyntaxError, ResourceLimitError
 from .presentation import GroupPresentation, Word, parse_word, word_to_text
 from .rationals import Q
 from .rewriting import RewritingSystem
@@ -391,14 +391,29 @@ def complex_to_json(complex_: TwoComplex) -> str:
 
 def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     """Load ``complex_to_json`` output.  A file that is well-formed but
-    inconsistent raises ValueError: a depth other than its vertex word's
-    length (normal forms are geodesic), an edge or a d2 entry naming a
-    missing vertex, edge or cell, or d1 d2 != 0."""
+    inconsistent raises ValueError: a vertex word that does not parse, a
+    depth other than its vertex word's length (normal forms are
+    geodesic), an edge or a d2 entry naming a missing vertex, edge or
+    cell, or d1 d2 != 0."""
     data = json.loads(text)
     gens = presentation.generators
     if list(data["generators"]) != list(gens):
         raise ValueError("cached complex belongs to a different presentation")
-    vertices = [parse_word(s, gens) for s in data["vertices"]]
+    parsed: dict = {}       # token -> letters; a ball repeats few tokens
+
+    def vertex_word(text):
+        letters = []
+        for token in str.split(text):
+            part = parsed.get(token)
+            if part is None:
+                part = parsed[token] = parse_word(token, gens)
+            letters += part
+        return tuple(letters)
+
+    try:
+        vertices = [vertex_word(s) for s in data["vertices"]]
+    except PresentationSyntaxError as exc:
+        raise ValueError(f"bad vertex word: {exc}") from exc
     depth = list(data["depth"])
     if depth != [len(w) for w in vertices]:
         raise ValueError("vertex depths are not the lengths of their words")

@@ -530,19 +530,18 @@ def _max_flow(adj, to, cap, source, sink):
                 pos[v] += 1
 
 
-def _verify_cut(rows, rhs, free, cut, t):
+def _verify_cut(rows, rhs, num_vars, cut, t):
     """Check a lower-bound certificate in integers, from the rows alone.
 
     For any feasible x the net amount sum_{i in S} b_i entering the node
     set S (index len(rows) is the ground node) passes through the columns
-    that can carry flow into S, each at most t.  So an optimal t must
-    equal demand(S) / crossing(S), and ``t is None`` (infeasible) needs
-    positive demand with no crossing column."""
+    with one end in S, each at most t.  So an optimal t must equal
+    demand(S) / crossing(S), and ``t is None`` (infeasible) needs positive
+    demand with no crossing column."""
     inside = set(cut)
-    head, tail = _network_ends(rows, len(free))
-    crossing = sum(1 for j in range(len(free))
-                   if (head[j] in inside) != (tail[j] in inside)
-                   and (free[j] or head[j] in inside))
+    head, tail = _network_ends(rows, num_vars)
+    crossing = sum(1 for j in range(num_vars)
+                   if (head[j] in inside) != (tail[j] in inside))
     demands, scale = _scaled_demands(rhs)
     demand = sum(demands[i] for i in inside)
     if t is None:
@@ -554,27 +553,26 @@ def _verify_cut(rows, rhs, free, cut, t):
         raise SolverError("min-max cut certificate does not match its value")
 
 
-def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
+def solve_minmax(rows, rhs, num_vars: int) -> LPResult:
     """min t  such that  A x = b  and |x_j| <= t for every variable.
 
-    Variables flagged False in ``free`` are constrained to [0, t]
-    instead.  A must be a network matrix: each column holds at most one
-    +1 and at most one -1 (zero entries are ignored), else ValueError.
-    Column j is then an arc carrying x_j from its -1 row to its +1 row;
-    a column with a single entry is attached to a ground node that
-    absorbs the balance -sum(b).
+    A must be a network matrix: each column holds at most one +1 and at
+    most one -1 (zero entries are ignored), else ValueError.  Column j
+    is then an arc carrying x_j from its -1 row to its +1 row; a column
+    with a single entry is attached to a ground node that absorbs the
+    balance -sum(b).
 
     By Gale's supply-demand theorem the optimum is the largest ratio
     b(S) / c(S) over node sets S with b(S) > 0, where c(S) counts the
-    columns that can carry flow into S; a set with c(S) = 0 makes the
-    system infeasible.  On the amenability probe's incidence rows this is
-    the largest Folner ratio |S| / |dS|, the bounded-flow/Folner duality
+    columns with one end in S; a set with c(S) = 0 makes the system
+    infeasible.  On the amenability probe's incidence rows this is the
+    largest Folner ratio |S| / |dS|, the bounded-flow/Folner duality
     of Block-Weinberger.  The optimum is found by Dinkelbach iteration
     on t = p/q, starting at 0: each round is one Dinic max-flow with
     integer capacities, q times the scaled demand on each node's source
-    or sink arc and p on each column arc (both ways for a free column).
-    A flow short of the total demand yields a min cut whose ratio is the
-    next t; a saturating flow proves the current t feasible.
+    or sink arc and p on each column arc, both ways.  A flow short of
+    the total demand yields a min cut whose ratio is the next t; a
+    saturating flow proves the current t feasible.
 
     An Optimal result carries the primal witness x = flow / (q L), L the
     lcm of the rhs denominators, and in ``cut`` the node set of the last
@@ -583,10 +581,6 @@ def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
     positive demand and no crossing column.  Both are verified before
     being returned.
     """
-    if free is None:
-        free = [True] * num_vars
-    if len(free) != num_vars:
-        raise ValueError("free mask length mismatch")
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
     rows = [dict(r) for r in rows]
@@ -618,9 +612,7 @@ def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
 
     p, q, cut = 0, 1, None
     while True:
-        cap = []
-        for j, _, _ in columns:
-            cap += (p, p if free[j] else 0)
+        cap = [p] * (2 * len(columns))
         for d in demands:
             if d:
                 cap += (q * abs(d), 0)
@@ -629,11 +621,10 @@ def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
             break
         cut = tuple(v for v in range(m + 1) if v not in reached)
         demand = sum(demands[v] for v in cut)
-        crossing = sum(1 for j, u, v in columns
-                       if (u in reached) != (v in reached)
-                       and (free[j] or u in reached))
+        crossing = sum(1 for _, u, v in columns
+                       if (u in reached) != (v in reached))
         if crossing == 0:
-            _verify_cut(rows, rhs, free, cut, None)
+            _verify_cut(rows, rhs, num_vars, cut, None)
             return LPResult(LPStatus.INFEASIBLE, cut=cut)
         g = math.gcd(demand, crossing)
         p, q = demand // g, crossing // g
@@ -646,9 +637,7 @@ def solve_minmax(rows, rhs, num_vars: int, free=None) -> LPResult:
             witness[j] = Q(f, q * scale)
     xvals = [witness.get(j, Q(0)) for j in range(num_vars)]
     _verify_equalities(rows, rhs, xvals)
-    for j, v in enumerate(xvals):
-        mag = v if v >= 0 else -v
-        if mag > t or (not free[j] and v < 0):
-            raise SolverError("min-max witness violates its bound")
-    _verify_cut(rows, rhs, free, cut, t)
+    if any(abs(v) > t for v in xvals):
+        raise SolverError("min-max witness violates its bound")
+    _verify_cut(rows, rhs, num_vars, cut, t)
     return LPResult(LPStatus.OPTIMAL, t, witness, cut=cut)

@@ -214,13 +214,6 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
     return _certificate(b, complex_, RING_Z, result.value, witness)
 
 
-def default_initial_radius(b: Chain, presentation: GroupPresentation) -> int:
-    """Heuristic starting radius: half the boundary mass plus one plus
-    the longest relator."""
-    half = int(b.l1() // 2)
-    return half + 1 + presentation.max_relator_length()
-
-
 def norm_with_escalation(b: Chain, presentation: GroupPresentation,
                          rws: RewritingSystem, r_start: int, r_max: int, *,
                          ring: str = RING_Q,

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from fillprobe import cli, complexes
+from fillprobe.catalog import CATALOG, load
 from fillprobe.cli import main
 from fillprobe.complexes import clear_memo
+from fillprobe.presentation import parse_presentation
+from fillprobe.rationals import parse_q
 
 
 def run_cli(capsys, *argv):
@@ -119,14 +123,74 @@ def test_fill_radius_cap_too_small_exit_5(capsys):
 
 
 def test_fill_surface_clamps_radius_to_vertex_cap(capsys):
-    # the heuristic starting radius (13) would blow the cap; the fill
-    # must clamp down to a feasible ball and still succeed
+    # the loop reaches radius 4, where escalation starts; the radius-5
+    # ball (22289 vertices) would blow the cap, so the top of the window
+    # must clamp down to the feasible radius 4 and the fill still succeed
     code, out = run_cli(capsys, "--vertex-cap", "5000", "fill", "S2",
                         "a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1")
     assert code == 0
     report = json.loads(out)
     assert report["certificates"]["Q"]["value"] == "1/1"
-    assert report["radius_window"][1] <= 4
+    assert report["radius_window"] == [4, 4]
+
+
+def test_fill_default_window_starts_at_the_loop_reach(capsys):
+    # the walk's prefixes reach normal-form length 3 (a b c)
+    code, out = run_cli(capsys, "fill", "Z3", "a b c a^-1 b^-1 c^-1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["radius_window"] == [3, 5]
+    assert report["certificates"]["Q"]["value"] == "3/1"
+    assert report["certificates"]["Z"]["value"] == "3/1"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _old_start_radius(source, l1):
+    """The start radius that fill took before it started at the loop's
+    reach: half the loop's mass, plus one, plus the longest relator."""
+    if source in CATALOG:
+        presentation, _ = load(source)
+    else:
+        presentation = parse_presentation(Path(source).read_text())
+    return int(parse_q(l1)) // 2 + 1 + presentation.max_relator_length()
+
+
+@pytest.mark.parametrize("source, word", [
+    ("Z2", "a b a^-1 b^-1"),
+    ("Z2", "a^2 b^2 a^-2 b^-2"),
+    ("Z2", "a^3 b^3 a^-3 b^-3"),
+    ("Z2", "a^2 b a^-2 b^-1"),
+    ("Z2", "a b^2 a^-1 b^-2"),
+    ("Z2", "a b a^-1 b^-1 a b a^-1 b^-1"),
+    ("Z2", "a b a^-1 b^-1 b a b^-1 a^-1"),
+    ("Z2", "a^2 b^-1 a^-2 b"),
+    ("Z2", "a b a b^-1 a^-2"),
+    ("F1", "a a a^-1 a^-1"),
+    ("F2", "a b b^-1 a^-1"),
+    ("z3_cube_sixth.txt", "a^3"),
+    ("z3_cube_sixth.txt", "a^6"),
+    ("z3_cube_sixth.txt", "a^9"),
+    ("z3_cube_sixth.txt", "a^12"),
+])
+def test_fill_from_reach_matches_old_start_radius(capsys, source, word):
+    # the default window starts at the loop's reach, below the old
+    # start; both must stabilize at the same value with the same filling
+    if source not in CATALOG:
+        source = str(DATA / source)
+    clear_memo()
+    code, out = run_cli(capsys, "fill", source, word)
+    assert code == 0
+    new = json.loads(out)
+    start = _old_start_radius(source, new["l1"])
+    code, out = run_cli(capsys, "--radius-cap", str(start + 2),
+                        "fill", source, word, "--radius", str(start))
+    assert code == 0
+    old = json.loads(out)
+    for ring in ("Q", "Z"):
+        for key in ("value", "status", "witness"):
+            assert new["certificates"][ring][key] == old["certificates"][ring][key]
 
 
 def test_fv_sampled_mode_auto_switch(capsys):
@@ -338,6 +402,14 @@ def test_cache_dir_rebuilds_file_whose_words_are_not_normal_forms(
     # check out: b a reduces to a b, and a^2 is another vertex's word
     def rename(data):
         data["vertices"][data["vertices"].index("a b")] = new
+    _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, rename)
+
+
+@pytest.mark.parametrize("new", ["q", "a^x"],
+                         ids=["unknown-generator", "malformed-letter"])
+def test_cache_dir_rebuilds_file_whose_words_do_not_parse(tmp_path, capsys, new):
+    def rename(data):
+        data["vertices"][1] = new
     _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, rename)
 
 

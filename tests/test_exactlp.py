@@ -148,15 +148,6 @@ def test_minmax_zero_rhs():
     assert r.optimal and r.value == 0 and r.witness == {}
 
 
-def test_minmax_nonnegative_mask():
-    # with x >= 0 the two-variable difference needs a larger bound
-    r_free = solve_minmax([{0: 1, 1: -1}], [2], 2)
-    assert r_free.value == 1
-    r_nonneg = solve_minmax([{0: 1, 1: -1}], [2], 2, free=[False, False])
-    assert r_nonneg.value == 2
-    assert all(v >= 0 for v in r_nonneg.witness.values())
-
-
 def test_minmax_cut_certificates():
     # two rows joined by one column, each fed by its own ground column
     r = solve_minmax([{0: 1, 2: 1}, {0: -1, 1: 1}], [1, 2], 3)
@@ -186,30 +177,25 @@ def test_minmax_long_path_needs_no_recursion():
     rows = [{i: 1, i + 1: -1} for i in range(n)]
     rows[-1] = {n - 1: 1}
     rhs = [0] * (n - 1) + [Q(2, 3)]
-    r = solve_minmax(rows, rhs, n, free=[False] * n)
+    r = solve_minmax(rows, rhs, n)
     assert r.optimal and r.value == Q(2, 3)
     assert r.witness == {j: Q(2, 3) for j in range(n)}
     assert n - 1 in r.cut
 
 
-def _homogenized_minmax(rows, rhs, num_vars, free):
+def _homogenized_minmax(rows, rhs, num_vars):
     """The general simplex formulation of min-max: maximize s with
-    A z = s b and z in the unit box, x = z/s and t = 1/s.  Returns the
-    status and t."""
-    col_of, ncols = [], 0
-    for j in range(num_vars):
-        col_of.append((ncols, ncols + 1) if free[j] else (ncols, None))
-        ncols += 2 if free[j] else 1
-    s_col = ncols
-    ncols += 1
+    A z = s b and z in the unit box, x = z/s and t = 1/s; each z_j is
+    split as z_j+ - z_j-, with z_j+ in column 2j and z_j- in 2j + 1.
+    Returns the status and t."""
+    s_col = 2 * num_vars
+    ncols = s_col + 1
     sim_rows = []
     for i, row in enumerate(rows):
         out = {}
         for j, a in row.items():
-            pos, neg = col_of[j]
-            out[pos] = Q(a)
-            if neg is not None:
-                out[neg] = -Q(a)
+            out[2 * j] = Q(a)
+            out[2 * j + 1] = -Q(a)
         if rhs[i]:
             out[s_col] = -Q(rhs[i])
         sim_rows.append({j: v for j, v in out.items() if v})
@@ -242,19 +228,18 @@ def network_systems(draw):
             rows[tail][j] = -1
     rhs = [Q(draw(st.integers(min_value=-3, max_value=3)),
              draw(st.integers(min_value=1, max_value=3))) for _ in range(m)]
-    free = [draw(st.booleans()) for _ in range(n)]
-    return rows, rhs, n, free
+    return rows, rhs, n
 
 
 @given(network_systems())
 @settings(max_examples=200, deadline=None)
 def test_minmax_matches_homogenized_simplex(system):
-    rows, rhs, n, free = system
-    result = solve_minmax(rows, rhs, n, free)
+    rows, rhs, n = system
+    result = solve_minmax(rows, rhs, n)
     if all(v == 0 for v in rhs):
         assert result.optimal and result.value == 0
         return
-    status, t = _homogenized_minmax(rows, rhs, n, free)
+    status, t = _homogenized_minmax(rows, rhs, n)
     assert result.status is status
     assert result.value == t
 

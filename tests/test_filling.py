@@ -8,7 +8,6 @@ from fillprobe.complexes import Chain, attach_cells, build_ball, get_complex, wo
 from fillprobe.errors import NotABoundaryError, NotACycleError
 from fillprobe.exactlp import LinearProgram, LPStatus, solve_lp
 from fillprobe.filling import (
-    default_initial_radius,
     filling_norm_q,
     filling_norm_z,
     is_boundary,
@@ -253,11 +252,6 @@ def test_escalation_integral_ring(z2, z2_square):
                                 ring="Z")
     assert cert.value == 2
     assert cert.witness.is_integral()
-
-
-def test_default_initial_radius(z2, z2_square):
-    presentation, _ = z2
-    assert default_initial_radius(z2_square, presentation) == 4 // 2 + 1 + 4
 
 
 def test_surface_octagon_norm(surface):
