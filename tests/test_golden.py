@@ -23,6 +23,8 @@ CASES = {
                               "--radius", "3"],
     "probe_amenable_f2": ["probe", "amenable", "F2", "--radii", "2,3"],
     "probe_hyperbolic_z2_k6": ["probe", "hyperbolic", "Z2", "--k-max", "6"],
+    "probe_hyperbolic_z2_k10": ["probe", "hyperbolic", "Z2", "--k-max", "10"],
+    "probe_hyperbolic_z3_k6": ["probe", "hyperbolic", "Z3", "--k-max", "6"],
     "probe_hyperbolic_z2_sampled_seed3": ["--seed", "3", "probe", "hyperbolic", "Z2",
                                           "--mode", "sampled", "--k-max", "8"],
     "ball_s2_r2": ["ball", "S2", "--radius", "2"],
