@@ -47,11 +47,18 @@ class SolverError(FillprobeError):
     """Internal inconsistency; indicates a bug, not bad input."""
 
 
+def _exact(v):
+    return v if isinstance(v, int) else Q(v)
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min c.x  subject to  A x = b,  x >= 0 (componentwise).
 
     ``rows`` holds A sparsely: one {column: coefficient} dict per row.
+    Coefficients, rhs and costs are kept as ints where they are ints and
+    as rationals (``Q``) otherwise; the solvers take either, and their
+    values, objectives and witnesses are rationals.
     """
 
     num_vars: int
@@ -70,9 +77,9 @@ class LinearProgram:
                     raise ValueError(f"column {j} out of range")
         object.__setattr__(
             self, "rows",
-            tuple({j: Q(v) for j, v in r.items()} for r in self.rows))
-        object.__setattr__(self, "rhs", tuple(Q(v) for v in self.rhs))
-        object.__setattr__(self, "objective", tuple(Q(v) for v in self.objective))
+            tuple({j: _exact(v) for j, v in r.items()} for r in self.rows))
+        object.__setattr__(self, "rhs", tuple(_exact(v) for v in self.rhs))
+        object.__setattr__(self, "objective", tuple(_exact(v) for v in self.objective))
 
     @classmethod
     def make(cls, num_vars, rows, rhs, objective) -> "LinearProgram":
@@ -355,9 +362,9 @@ def _solve_node(lp: LinearProgram, bounds):
     n = lp.num_vars
     rows, rhs = list(lp.rows), list(lp.rhs)
     for k, (j, sign, v) in enumerate(bounds):
-        rows.append({j: Q(1), n + k: Q(sign)})
+        rows.append({j: 1, n + k: sign})
         rhs.append(v)
-    simplex = _Simplex(rows, rhs, [*lp.objective, *[Q(0)] * len(bounds)])
+    simplex = _Simplex(rows, rhs, [*lp.objective, *[0] * len(bounds)])
     status, values, obj = simplex.solve()
     if values is not None:
         values = values[:n]
@@ -375,7 +382,8 @@ def _is_integer(v) -> bool:
 
 
 def solve_ilp(lp: LinearProgram, *,
-              node_budget: int = DEFAULT_NODE_BUDGET) -> LPResult:
+              node_budget: int = DEFAULT_NODE_BUDGET,
+              root: LPResult | None = None) -> LPResult:
     """Integral optimum by branch and bound over exact LP relaxations.
 
     Every variable is integral.  The search is depth first; a node is a
@@ -384,6 +392,10 @@ def solve_ilp(lp: LinearProgram, *,
     variable and explores the floor branch first.  Exhausting the node
     budget raises NodeBudgetError carrying the best lower/upper bounds
     known.
+
+    ``root`` is ``solve_lp(lp)``'s optimal result, when the caller has
+    it; the root node then takes it instead of solving ``lp`` again, and
+    ``pivots`` counts only the pivots of the other nodes.
     """
     stack = [((), None)]
     incumbent_value = None
@@ -404,8 +416,12 @@ def solve_ilp(lp: LinearProgram, *,
                 limit=node_budget, lower=lower_bound,
                 upper=incumbent_value,
                 witness=incumbent)
-        status, values, obj, pivots = _solve_node(lp, bounds)
-        total_pivots += pivots
+        if root is not None and not bounds:
+            status, obj = root.status, root.value
+            values = [root.witness.get(j, Q(0)) for j in range(lp.num_vars)]
+        else:
+            status, values, obj, pivots = _solve_node(lp, bounds)
+            total_pivots += pivots
         if status is LPStatus.UNBOUNDED:
             # only the root can be: every node's polytope lies inside the root's
             return LPResult(LPStatus.UNBOUNDED, pivots=total_pivots)
@@ -426,8 +442,8 @@ def solve_ilp(lp: LinearProgram, *,
             incumbent = {j: v for j, v in enumerate(values) if v}
             continue
         fl = math.floor(values[frac_var])
-        stack.append((_branch(bounds, frac_var, -1, Q(fl + 1)), obj))
-        stack.append((_branch(bounds, frac_var, 1, Q(fl)), obj))
+        stack.append((_branch(bounds, frac_var, -1, fl + 1), obj))
+        stack.append((_branch(bounds, frac_var, 1, fl), obj))
 
     if incumbent is None:
         return LPResult(LPStatus.INFEASIBLE, pivots=total_pivots)

@@ -198,16 +198,15 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         raise NotACycleError("integral norm needs an integral boundary")
     if b.is_zero():
         return _certificate(b, complex_, RING_Z, Q(0), Chain(2, {}))
-    # branch and bound would solve the rational LP first; where
-    # filling_norm_q already found an integral optimum, that is the
-    # answer, at the cost of the root node alone
+    # the rational optimum that filling_norm_q found in this ball is
+    # branch and bound's root node; where it is integral, it is the answer
     result = complex_.relaxations.get(frozenset(b.entries.items()))
     if result is None or node_budget < 1 or \
             not all(is_integral(v) for v in result.witness.values()):
         lp = _filling_program(b, complex_)
         if lp is None:
             raise NotABoundaryError("no filling within this ball (uncovered edge)")
-        result = solve_ilp(lp, node_budget=node_budget)
+        result = solve_ilp(lp, node_budget=node_budget, root=result)
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no integral filling within this ball")
     witness = _witness_chain(complex_.num_cells, result.witness)
@@ -219,7 +218,8 @@ def norm_with_escalation(b: Chain, presentation: GroupPresentation,
                          ring: str = RING_Q,
                          vertex_cap: int = 200_000,
                          node_budget: int = 100_000,
-                         cache_dir: str | None = None) -> FillingCertificate:
+                         cache_dir: str | None = None,
+                         bound=None) -> FillingCertificate:
     """Compute the norm at growing radii, stopping once the value repeats
     at two consecutive radii.
 
@@ -227,6 +227,15 @@ def norm_with_escalation(b: Chain, presentation: GroupPresentation,
     becomes exact-within-ball; no claim about the untruncated complex is
     ever made.  The chain must have been built at a radius <= r_start
     (edge indices are stable under ball growth).
+
+    With ``bound`` given, the program at ``r_max`` is not solved when
+    the value at the radius before it is at most ``bound``; that
+    certificate is returned, unstabilized.  The optimum at one radius
+    stays feasible at the next, so the skipped value would not have
+    exceeded ``bound`` either.  The ball at ``r_max`` is still fetched,
+    so a cap it trips raises as it would without ``bound``.  No earlier
+    radius is skipped, because whether the loop goes past radius r
+    depends on the value at r.
     """
     if r_start > r_max:
         raise ValueError("r_start must not exceed r_max")
@@ -235,6 +244,9 @@ def norm_with_escalation(b: Chain, presentation: GroupPresentation,
     for radius in range(r_start, r_max + 1):
         complex_ = get_complex(presentation, rws, radius,
                                vertex_cap=vertex_cap, cache_dir=cache_dir)
+        if radius == r_max and bound is not None and previous is not None \
+                and previous.value <= bound:
+            return previous
         if b.entries and max(b.entries) >= complex_.ball.num_edges:
             # the loop is not contained in this ball (edge indices are
             # stable, so out-of-range indices mean exactly that)

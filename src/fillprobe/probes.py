@@ -155,7 +155,18 @@ def estimate_fv(presentation: GroupPresentation, rws: RewritingSystem,
                 config: ProbeConfig | None = None,
                 presentation_id: str = "") -> FVEstimate:
     """Tabulate, for each k <= k_max, the largest rational filling norm
-    among enumerated (or sampled) circuits of l1 mass at most k."""
+    among enumerated (or sampled) circuits of l1 mass at most k.
+
+    Row k is the first circuit, in ``(length, letters)`` order, whose
+    value exceeds every earlier one of mass at most k.  A circuit's
+    escalation skips its last radius once its value is at most
+    ``bound``, the largest value so far among earlier circuits of no
+    larger mass.  That changes no row: values never grow with the
+    radius, so the circuit's final value could not beat the bound; and
+    the value it stops at never raises a later bound, as it is at most
+    an earlier value in it.  The skipped ball is still fetched, so
+    ``capped`` is exact.
+    """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
     if mode == EXHAUSTIVE and k_max > EXHAUSTIVE_K_CAP:
@@ -175,19 +186,25 @@ def estimate_fv(presentation: GroupPresentation, rws: RewritingSystem,
     else:
         circuits = _sampled_circuits(ball, k_max, seed, cfg.sample_walks)
 
+    masses = [c.chain.l1() for c in circuits]
     certs = []
-    for circuit in circuits:
+    best_of_mass = {}       # mass -> largest value so far at that mass
+    for circuit, mass in zip(circuits, masses):
         r0 = max(_circuit_reach(ball, circuit), 1)
+        bound = max((v for m, v in best_of_mass.items() if m <= mass), default=None)
         try:
-            certs.append(norm_with_escalation(
+            cert = norm_with_escalation(
                 circuit.chain, presentation, rws, r0, r0 + cfg.escalation_margin,
                 vertex_cap=cfg.vertex_cap, node_budget=cfg.node_budget,
-                cache_dir=cfg.cache_dir))
+                cache_dir=cfg.cache_dir, bound=bound)
         except ResourceLimitError:
             est.capped = True
             certs.append(None)
+            continue
+        certs.append(cert)
+        if mass not in best_of_mass or cert.value > best_of_mass[mass]:
+            best_of_mass[mass] = cert.value
 
-    masses = [c.chain.l1() for c in circuits]
     for k in range(3, k_max + 1):
         best = None
         for i, circuit in enumerate(circuits):

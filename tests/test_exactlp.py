@@ -813,3 +813,64 @@ def test_solver_results_are_rationals(problem):
         if result.optimal:
             assert type(result.value) is RationalType
             assert all(type(v) is RationalType for v in result.witness.values())
+
+
+@st.composite
+def integer_lps(draw):
+    """Small programs whose coefficients, rhs and costs are all ints."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    small = st.integers(min_value=-4, max_value=4)
+    rows = [{j: draw(small) for j in draw(st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=1, max_size=n, unique=True))}
+            for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    rhs = [draw(small) for _ in rows]
+    objective = [draw(st.integers(min_value=0, max_value=4)) for _ in range(n)]
+    return n, rows, rhs, objective
+
+
+def _result_fields(solve, problem):
+    try:
+        r = solve(problem)
+    except NodeBudgetError:
+        return "budget"
+    return r.status, r.value, r.witness, r.pivots
+
+
+@given(integer_lps())
+@settings(max_examples=150, deadline=None)
+def test_int_coefficients_stay_ints_and_solve_like_rationals(problem):
+    n, rows, rhs, objective = problem
+    ints = lp(n, rows, rhs, objective)
+    rationals = lp(n, [{j: Q(v) for j, v in row.items()} for row in rows],
+                   [Q(v) for v in rhs], [Q(v) for v in objective])
+    assert all(type(v) is int for row in ints.rows for v in row.values())
+    assert all(type(v) is int for v in (*ints.rhs, *ints.objective))
+    assert ints.to_json() == rationals.to_json()
+    for solve in (solve_lp, lambda problem: solve_ilp(problem, node_budget=50)):
+        fields = _result_fields(solve, ints)
+        assert fields == _result_fields(solve, rationals)
+        if fields != "budget" and fields[0] is LPStatus.OPTIMAL:
+            _, value, witness, _ = fields
+            assert type(value) is RationalType
+            assert all(type(v) is RationalType for v in witness.values())
+
+
+@given(bounded_lps())
+@example(_GAP)
+@example(_KNAPSACK)
+@settings(max_examples=100, deadline=None)
+def test_ilp_from_given_root_skips_only_the_root_solve(problem):
+    rows, rhs, objective, _, _ = problem
+    problem = lp(len(objective), rows, rhs, [abs(c) for c in objective])
+    root = solve_lp(problem)
+    if not root.optimal:
+        return
+    try:
+        fresh = solve_ilp(problem, node_budget=200)
+    except NodeBudgetError:
+        return
+    given_root = solve_ilp(problem, node_budget=200, root=root)
+    assert (given_root.status, given_root.value, given_root.witness) == \
+        (fresh.status, fresh.value, fresh.witness)
+    assert given_root.pivots == fresh.pivots - root.pivots

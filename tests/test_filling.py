@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillprobe import filling
+from fillprobe import exactlp, filling
 from fillprobe.complexes import Chain, attach_cells, build_ball, get_complex, word_to_edge_chain
 from fillprobe.errors import NotABoundaryError, NotACycleError
 from fillprobe.exactlp import LinearProgram, LPStatus, solve_lp
@@ -117,17 +117,36 @@ def test_integral_norm_reuses_integral_rational_optimum(z2, monkeypatch):
     assert expected.value == 2 and calls == []
 
 
+def _count_simplex_solves(monkeypatch):
+    solves, solve = [], exactlp._Simplex.solve
+
+    def counting(simplex):
+        solves.append(simplex)
+        return solve(simplex)
+
+    monkeypatch.setattr(exactlp._Simplex, "solve", counting)
+    return solves
+
+
 def test_integral_norm_branches_on_fractional_rational_optimum(monkeypatch):
     # the a^6 cell runs twice around the a^3 triangle, so half of it
     # fills the triangle at mass 1/2; an integral filling needs mass 1
     presentation = parse_presentation("generators: a\nrelator: a^3\nrelator: a^6\n")
-    complex_ = get_complex(presentation, knuth_bendix_bounded(presentation), 2)
-    triangle = word_to_edge_chain(complex_.ball, presentation.word("a^3"))
-    assert filling_norm_q(triangle, complex_).value == Q(1, 2)
+    rws = knuth_bendix_bounded(presentation)
+    fresh, solved = (attach_cells(build_ball(presentation, rws, 2), presentation)
+                     for _ in range(2))
+    triangle = word_to_edge_chain(solved.ball, presentation.word("a^3"))
+    assert filling_norm_q(triangle, solved).value == Q(1, 2)
     calls = _count_ilp_calls(monkeypatch)
-    cert = filling_norm_z(triangle, complex_)
+    solves = _count_simplex_solves(monkeypatch)
+    expected = filling_norm_z(triangle, fresh)
+    from_scratch = len(solves)
+    cert = filling_norm_z(triangle, solved)
+    assert cert == expected
     assert cert.value == 1 and cert.witness.is_integral()
-    assert len(calls) == 1
+    assert len(calls) == 2
+    # the rational optimum already found is branch and bound's root node
+    assert len(solves) - from_scratch == from_scratch - 1
 
 
 def test_fractional_boundary_norm(z2_r2, z2_square):

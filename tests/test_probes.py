@@ -1,10 +1,19 @@
 import pytest
 
+from fillprobe import filling
+from fillprobe.catalog import load
+from fillprobe.complexes import enumerate_circuits, get_complex
+from fillprobe.errors import ResourceLimitError
+from fillprobe.filling import norm_with_escalation
+from fillprobe.presentation import word_to_text
 from fillprobe.probes import (
     EXHAUSTIVE,
     SAMPLED,
     FVEstimate,
+    FVRow,
     ProbeConfig,
+    _circuit_reach,
+    _sampled_circuits,
     estimate_fv,
     fit_growth,
     probe_amenability,
@@ -223,6 +232,96 @@ def test_fv_entries_never_grow_with_radius_headroom(z2):
         assert roomy.table[k].value <= snug.table[k].value
 
 
+
+
+def _unpruned_fv(presentation, rws, k_max, mode, seed, cfg):
+    """``estimate_fv``'s table and ``capped`` as computed before circuits
+    got a bound: every circuit escalates through all of its radii."""
+    ball = get_complex(presentation, rws, k_max // 2, vertex_cap=cfg.vertex_cap).ball
+    if mode == EXHAUSTIVE:
+        circuits = enumerate_circuits(ball, k_max, walk_cap=cfg.walk_cap)
+    else:
+        circuits = _sampled_circuits(ball, k_max, seed, cfg.sample_walks)
+    capped, certs = False, []
+    for circuit in circuits:
+        r0 = max(_circuit_reach(ball, circuit), 1)
+        try:
+            certs.append(norm_with_escalation(
+                circuit.chain, presentation, rws, r0, r0 + cfg.escalation_margin,
+                vertex_cap=cfg.vertex_cap, node_budget=cfg.node_budget))
+        except ResourceLimitError:
+            capped = True
+            certs.append(None)
+    masses = [c.chain.l1() for c in circuits]
+    table = {}
+    for k in range(3, k_max + 1):
+        best = None
+        for i in range(len(circuits)):
+            if masses[i] > k or certs[i] is None:
+                continue
+            if best is None or certs[i].value > certs[best].value:
+                best = i
+        if best is None:
+            table[k] = FVRow(Q(0), None, None, None)
+        else:
+            cert = certs[best]
+            table[k] = FVRow(cert.value,
+                             word_to_text(circuits[best].letters, presentation.generators),
+                             masses[best], cert.radius, cert.stabilized)
+    return table, capped
+
+
+def _count_lp_solves(monkeypatch):
+    calls, solve = [], filling.solve_lp
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(filling, "solve_lp", counting)
+    return calls
+
+
+FV_CASES = [("Z2", 8, EXHAUSTIVE, 0), ("S2", 8, EXHAUSTIVE, 0), ("Z3", 5, EXHAUSTIVE, 0)] + \
+    [("Z2", 10, SAMPLED, seed) for seed in range(6)]
+
+
+@pytest.mark.parametrize("margin", [1, 2])
+@pytest.mark.parametrize("name,k_max,mode,seed", FV_CASES)
+def test_estimate_fv_matches_unpruned_loop(name, k_max, mode, seed, margin, monkeypatch):
+    presentation, rws = load(name)
+    cfg = ProbeConfig(escalation_margin=margin)
+    calls = _count_lp_solves(monkeypatch)
+    est = estimate_fv(presentation, rws, k_max, mode, seed=seed, config=cfg)
+    pruned = len(calls)
+    table, capped = _unpruned_fv(presentation, rws, k_max, mode, seed, cfg)
+    assert est.table == table
+    assert est.capped == capped
+    # at margin 1 a circuit whose first value is under its bound skips
+    # its second program; at margin 2 every circuit here repeats its
+    # value at r0 + 1 and stops there, so none reaches a skippable r_max
+    unpruned = len(calls) - pruned
+    assert pruned < unpruned if margin == 1 else pruned == unpruned
+
+
+@pytest.mark.parametrize("margin,capped_radius,capped,verdict", [
+    # the radius-5 circuits all sit under an earlier bound, so only their
+    # skipped r0 + 1 = 6 ball trips the cap
+    (1, 6, True, "inconclusive"),
+    # they repeat their value at 6, so the loop never asks for the
+    # radius-7 ball, with or without the bound
+    (2, 7, False, "non-hyperbolic-evidence"),
+])
+def test_skipped_radius_still_sets_capped(margin, capped_radius, capped, verdict):
+    presentation, rws = load("Z2")
+    cap = get_complex(presentation, rws, capped_radius).ball.num_vertices - 1
+    cfg = ProbeConfig(vertex_cap=cap, escalation_margin=margin)
+    report = probe_hyperbolicity(presentation, rws, k_max=10, mode=SAMPLED,
+                                 seed=0, config=cfg)
+    assert (report.estimate.capped, report.verdict) == (capped, verdict)
+    table, reference_capped = _unpruned_fv(presentation, rws, 10, SAMPLED, 0, cfg)
+    assert reference_capped == capped
+    assert report.estimate.table == table
 
 def test_amenability_propagates_solver_errors(z2, monkeypatch):
     # only cap hits become "capped" rows; any other package error is a bug
