@@ -297,7 +297,7 @@ def test_estimate_fv_matches_unpruned_loop(name, k_max, mode, seed, margin, monk
     table, capped = _unpruned_fv(presentation, rws, k_max, mode, seed, cfg)
     assert est.table == table
     assert est.capped == capped
-    # at margin 1 a circuit whose first value is under its bound skips
+    # at margin 1 a circuit whose first value is at most its bound skips
     # its second program; at margin 2 every circuit here repeats its
     # value at r0 + 1 and stops there, so none reaches a skippable r_max
     unpruned = len(calls) - pruned
@@ -305,7 +305,7 @@ def test_estimate_fv_matches_unpruned_loop(name, k_max, mode, seed, margin, monk
 
 
 @pytest.mark.parametrize("margin,capped_radius,capped,verdict", [
-    # the radius-5 circuits all sit under an earlier bound, so only their
+    # every radius-5 circuit is at most its bound, so only their
     # skipped r0 + 1 = 6 ball trips the cap
     (1, 6, True, "inconclusive"),
     # they repeat their value at 6, so the loop never asks for the
