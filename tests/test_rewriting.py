@@ -2,10 +2,12 @@ import functools
 import hashlib
 import heapq
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fillprobe import rewriting
 from fillprobe.catalog import get_entry, load
 from fillprobe.errors import IncompleteSystemError
 from fillprobe.presentation import (
@@ -20,7 +22,6 @@ from fillprobe.rewriting import (
     RewriteStatus,
     RewritingSystem,
     _cancellation_rules,
-    _contains,
     _reduce,
     _seed_rules,
     check_local_confluence,
@@ -243,6 +244,18 @@ def test_confluence_under_randomized_strategies(z2, surface, seed):
             assert _random_strategy_reduce(rws, w, rng) == normal_form(w, rws)
 
 
+# presentations pinned below that are not catalog entries: the surface
+# group with its generators interleaved, whose completion diverges
+_SOURCES = {
+    "S2-interleaved": "generators: a1, b1, a2, b2\n"
+                      "relator: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n",
+}
+
+
+def _source(name):
+    return _SOURCES[name] if name in _SOURCES else get_entry(name).source
+
+
 # sha256 of repr(rules): the exact rule tuples, order included, that
 # completion returns at each of its return points (rule budget, length
 # budget, closed)
@@ -267,6 +280,9 @@ _PINNED_COMPLETIONS = [
      "bb6846933c5fdcd3c88c64d8b1a084a7614ec7b60dee751973ff547bf40f0904"),
     ("Z3", 256, 64, "confluent", 12,
      "5055574e10705da5352ddc25b484f76277bd8d2ce8d6003ef550f2f14b92af1c"),
+    # 4 generators (8 letters); stops on the length budget
+    ("S2-interleaved", 256, 64, "incomplete", 31,
+     "b84f4dccc1a24405b34dfa6190f3454f656387cb99735199201d187c403b2602"),
 ]
 
 
@@ -275,7 +291,7 @@ _PINNED_COMPLETIONS = [
     ids=[f"{c[0]}-rules{c[1]}-len{c[2]}" for c in _PINNED_COMPLETIONS])
 def test_completion_returns_pinned_rules(name, max_rules, max_len, status,
                                          count, digest):
-    p = parse_presentation(get_entry(name).source)
+    p = parse_presentation(_source(name))
     rws = knuth_bendix_bounded(p, max_rules=max_rules, max_len=max_len)
     assert rws.status.value == status
     assert len(rws.rules) == count
@@ -313,8 +329,15 @@ def _with_rhs_renormalized(test):
 
 @functools.cache
 def _catalog_completion(name, max_rules, max_len):
-    p = parse_presentation(get_entry(name).source)
+    p = parse_presentation(_source(name))
     return knuth_bendix_bounded(p, max_rules=max_rules, max_len=max_len)
+
+
+def _contains(big, small) -> bool:
+    n, m = len(big), len(small)
+    if m > n:
+        return False
+    return any(big[i:i + m] == small for i in range(n - m + 1))
 
 
 def _assert_interreduced(rws):
@@ -375,7 +398,8 @@ def _reference_pair_sources(l1, r1, l2, r2):
                 yield r1, l1[:i] + r2 + l1[i + n2:]
 
 
-def _reference_completion(presentation, max_rules, max_len):
+def _reference_completion(presentation, max_rules, max_len,
+                          equations_per_rule=_EQUATIONS_PER_RULE):
     """Completion as it was before interreduction became incremental:
     every rhs re-normalized after each new rule, heap keys built letter
     by letter, and every rule pair searched for overlaps."""
@@ -399,7 +423,7 @@ def _reference_completion(presentation, max_rules, max_len):
     for u, v in _seed_rules(presentation):
         push(u, v)
 
-    budget = _EQUATIONS_PER_RULE * max_rules
+    budget = equations_per_rule * max_rules
     processed = 0
     while heap:
         processed += 1
@@ -442,3 +466,18 @@ def test_completion_matches_reference_completion(presentation, budget):
                                max_len=max_len)
     assert (rws.status, rws.rules) == _reference_completion(
         presentation, max_rules, max_len)
+
+
+@given(small_presentations(), _budgets, st.integers(min_value=1, max_value=3))
+@settings(max_examples=120, deadline=None)
+def test_equation_budget_matches_reference_completion(presentation, budget,
+                                                      equations_per_rule):
+    # at the default budget per rule no known draw runs out of
+    # equations; at 1-3 per rule most draws return there
+    max_rules, max_len = budget
+    with mock.patch.object(rewriting, "_EQUATIONS_PER_RULE",
+                           equations_per_rule):
+        rws = knuth_bendix_bounded(presentation, max_rules=max_rules,
+                                   max_len=max_len)
+    assert (rws.status, rws.rules) == _reference_completion(
+        presentation, max_rules, max_len, equations_per_rule)
