@@ -5,6 +5,12 @@ reduction engine; explicit rules sit on top of it.  Every explicit rule
 must strictly decrease the shortlex order, so rewriting terminates and
 local confluence (all critical pairs joinable) implies confluence.
 
+Inside the module a word is the ``str`` of its letters'
+``chr(letter_rank(x))``: shortlex order is ``(len(w), w)``, a letter's
+inverse is ``chr(ord(c) ^ 1)``, and subword, overlap and inclusion tests
+run in C.  Words cross the module boundary as tuples.  Only dicts and
+lists of ``str`` words are iterated: set order follows the hash salt.
+
 Bounded Knuth-Bendix completion rewrites against its one live rule
 table through the same engine that ``RewritingSystem.reduce`` uses, and
 builds a ``RewritingSystem`` (which checks every rule's order again)
@@ -31,6 +37,7 @@ from .presentation import (
     GroupPresentation,
     Word,
     inverse_word,
+    letter_rank,
     shortlex_key,
 )
 
@@ -61,11 +68,11 @@ class RewritingSystem:
     _maxlhs: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
-        table = {}
+        table = {}  # encoded lhs -> encoded rhs
         for lhs, rhs in self.rules:
             if shortlex_key(lhs) <= shortlex_key(rhs):
                 raise ValueError(f"rule {lhs} -> {rhs} is not shortlex-reducing")
-            table[tuple(lhs)] = tuple(rhs)
+            table[_encode(lhs)] = _encode(rhs)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_maxlhs", max(map(len, table), default=0))
 
@@ -81,7 +88,8 @@ class RewritingSystem:
         """Rewrite ``prefix + word`` to an irreducible word (cancellation
         plus rules).  ``prefix`` must be irreducible already; it is taken
         as scanned, so only ``word`` is read letter by letter."""
-        return _reduce(word, self._table, self._maxlhs, prefix)
+        return _decode(_reduce(_encode(word), self._table, self._maxlhs,
+                               _encode(prefix)))
 
     def rules_key(self) -> str:
         """Canonical serialization for cache keys."""
@@ -90,7 +98,7 @@ class RewritingSystem:
     @functools.cached_property
     def index_automaton(self) -> "IndexAutomaton":
         """The index automaton of this system, built on first use."""
-        return _index_automaton(self.ngens, [*self._table, *(
+        return _index_automaton(self.ngens, [*(lhs for lhs, _ in self.rules), *(
             lhs for lhs, _ in _cancellation_rules(self.ngens))])
 
 
@@ -169,23 +177,34 @@ def _index_automaton(ngens: int, patterns) -> IndexAutomaton:
     return IndexAutomaton(goto, terminal)
 
 
-def _reduce(word, table: dict, maxlhs: int, prefix: Word = ()) -> Word:
-    """Irreducible descendant of ``prefix + word`` under free cancellation
-    and the rules in ``table`` (lhs -> rhs).  ``maxlhs`` bounds the lhs
-    lengths from above; longer lengths only miss the table.
+def _encode(word) -> str:
+    return "".join(map(chr, map(letter_rank, word)))
+
+
+def _decode(code: str) -> Word:
+    return tuple(~(r // 2) if r % 2 else r // 2 + 1 for r in map(ord, code))
+
+
+def _decoded(rules) -> tuple:
+    return tuple((_decode(lhs), _decode(rhs)) for lhs, rhs in rules)
+
+
+def _reduce(code: str, table: dict, maxlhs: int, prefix: str = "") -> str:
+    """Irreducible descendant of ``prefix + code`` under free cancellation
+    and the rules in ``table`` (lhs -> rhs), all encoded.  ``maxlhs``
+    bounds the lhs lengths from above; longer lengths only miss the table.
 
     ``prefix`` must be irreducible.  Every prefix of an irreducible word
     is irreducible, so scanning it would append it letter by letter with
     no rule firing; the scan starts from it instead."""
-    # a tuple, so its suffix slices are table keys without a copy
     out = prefix
-    pending = list(reversed(word))
+    pending = list(reversed(code))
     while pending:
         x = pending.pop()
-        if out and out[-1] == -x:
+        if out and ord(out[-1]) == ord(x) ^ 1:
             out = out[:-1]
             continue
-        out += (x,)
+        out += x
         for length in range(min(maxlhs, len(out)), 0, -1):
             rhs = table.get(out[-length:])
             if rhs is not None:
@@ -211,30 +230,35 @@ def _cancellation_rules(ngens: int):
     return rules
 
 
-def _critical_pair_sources(l1, r1, l2, r2):
-    """Words with two distinct single-step reductions from rules 1 and 2.
-
-    Yields (left_result, right_result) before normalization: proper
-    overlaps (a suffix of l1 equals a prefix of l2) and strict
-    inclusions of l2 inside l1.
+def _pair_sources(rules_a, rules_b) -> list:
+    """Words with two distinct single-step reductions, by l1 -> r1 in
+    ``rules_a`` and l2 -> r2 in ``rules_b``, as (left_result,
+    right_result) before normalization: per rule pair, proper overlaps (a
+    suffix of l1 equals a prefix of l2), shortest first, then strict
+    inclusions of l2 in l1, leftmost first.
     """
-    # both kinds place l2's first letter somewhere in l1
-    if l2[0] not in l1:
-        return
-    n1, n2 = len(l1), len(l2)
-    for o in range(1, min(n1, n2)):
-        if l1[n1 - o:] == l2[:o]:
-            yield r1 + l2[o:], l1[:n1 - o] + r2
-    if n2 < n1:
-        for i in range(n1 - n2 + 1):
-            if l1[i:i + n2] == l2:
-                yield r1, l1[:i] + r2 + l1[i + n2:]
-
-
-def _all_pair_sources(rules_a, rules_b):
+    out = []
     for l1, r1 in rules_a:
+        n1 = len(l1)
         for l2, r2 in rules_b:
-            yield from _critical_pair_sources(l1, r1, l2, r2)
+            # both kinds place l2's first letter somewhere in l1; an
+            # overlap of length n1 - i < min(n1, n2) places it at i
+            first = l2[0]
+            if first not in l1:
+                continue
+            n2 = len(l2)
+            lo = n1 - min(n1, n2) + 1
+            i = l1.rfind(first, lo)
+            while i >= lo:
+                if l2.startswith(l1[i:]):
+                    out.append((r1 + l2[n1 - i:], l1[:i] + r2))
+                i = l1.rfind(first, lo, i)
+            if n2 < n1:
+                i = l1.find(l2)
+                while i >= 0:
+                    out.append((r1, l1[:i] + r2 + l1[i + n2:]))
+                    i = l1.find(l2, i + 1)
+    return out
 
 
 def check_local_confluence(rws: RewritingSystem):
@@ -243,24 +267,15 @@ def check_local_confluence(rws: RewritingSystem):
     Empty result plus shortlex-reducing rules means the system is
     confluent (Newman's lemma), so the status may be set CONFLUENT.
     """
-    working = list(rws.rules) + _cancellation_rules(rws.ngens)
-    unresolved = []
-    seen = set()
-    for u, v in _all_pair_sources(working, working):
-        a, b = rws.reduce(u), rws.reduce(v)
-        if a == b:
-            continue
-        pair = (a, b) if shortlex_key(a) >= shortlex_key(b) else (b, a)
-        if pair not in seen:
-            seen.add(pair)
-            unresolved.append(pair)
-    return unresolved
-
-
-def _orient(u, v):
-    if u == v:
-        return None
-    return (u, v) if shortlex_key(u) > shortlex_key(v) else (v, u)
+    working = [(_encode(l), _encode(r))
+               for l, r in [*rws.rules, *_cancellation_rules(rws.ngens)]]
+    unresolved = {}  # as an ordered set
+    for u, v in _pair_sources(working, working):
+        a = _reduce(u, rws._table, rws._maxlhs)
+        b = _reduce(v, rws._table, rws._maxlhs)
+        if a != b:
+            unresolved[(a, b) if (len(a), a) > (len(b), b) else (b, a)] = None
+    return list(_decoded(unresolved))
 
 
 def _seed_rules(presentation: GroupPresentation):
@@ -286,25 +301,20 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
     if max_rules < len(seeds):
         raise ValueError("max_rules below the relator-derived seed count")
 
-    cancels = _cancellation_rules(ngens)
+    cancels = [(_encode(l), "") for l, _ in _cancellation_rules(ngens)]
     table: dict = {}
     maxlhs = 0  # the longest lhs ever added; an upper bound after deletions
 
     def incomplete():
-        return RewritingSystem(ngens, tuple(table.items()),
+        return RewritingSystem(ngens, _decoded(table.items()),
                                RewriteStatus.INCOMPLETE)
 
     # Priority queue of equations, smallest shortlex first (fairness).
-    counter = 0
+    # Entries with equal keys hold the same pair: no tie-breaker needed.
     heap = []
-
-    def push(u, v):
-        nonlocal counter
-        heapq.heappush(heap, (shortlex_key(u), shortlex_key(v), counter, u, v))
-        counter += 1
-
     for u, v in seeds:
-        push(u, v)
+        u, v = _encode(u), _encode(v)
+        heapq.heappush(heap, (len(u), u, len(v), v))
 
     budget = _EQUATIONS_PER_RULE * max_rules
     processed = 0
@@ -312,12 +322,12 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
         processed += 1
         if processed > budget:
             return incomplete()
-        _, _, _, u, v = heapq.heappop(heap)
-        pair = _orient(_reduce(u, table, maxlhs), _reduce(v, table, maxlhs))
-        if pair is None:
+        _, u, _, v = heapq.heappop(heap)
+        u, v = _reduce(u, table, maxlhs), _reduce(v, table, maxlhs)
+        if u == v:
             continue
-        lhs, rhs = pair
-        if len(lhs) > max_len or len(rhs) > max_len:
+        lhs, rhs = (u, v) if (len(u), u) > (len(v), v) else (v, u)
+        if len(lhs) > max_len:
             return incomplete()
         # Interreduce: rules whose lhs the new rule rewrites go back to
         # the queue.  Every rhs left was irreducible under the old table,
@@ -325,33 +335,23 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
         # below lhs, so it cannot contain lhs.  Hence only a rhs holding
         # lhs as a subword can reduce now, and only those are
         # re-normalized against the table with the new rule in.
-        doomed = [l2 for l2 in table
-                  if len(lhs) <= len(l2) and _contains(l2, lhs)]
-        for l2 in doomed:
-            push(l2, table.pop(l2))
+        for l2 in [l2 for l2 in table if lhs in l2]:
+            r2 = table.pop(l2)
+            heapq.heappush(heap, (len(l2), l2, len(r2), r2))
         table[lhs] = rhs
         maxlhs = max(maxlhs, len(lhs))
         table.update({l2: _reduce(r2, table, maxlhs)
-                      for l2, r2 in table.items() if _contains(r2, lhs)})
+                      for l2, r2 in table.items() if lhs in r2})
         if len(table) > max_rules:
             return incomplete()
-        current = list(table.items()) + cancels
-        new_rule = (lhs, rhs)
-        for other in current:
-            for a, b in _critical_pair_sources(*new_rule, *other):
-                push(a, b)
-            if other != new_rule:
-                for a, b in _critical_pair_sources(*other, *new_rule):
-                    push(a, b)
-    return RewritingSystem(ngens, tuple(sorted(table.items())),
+        # each pushed pair, duplicates included, is budgeted when popped
+        new_rule = [(lhs, rhs)]
+        others = [item for item in table.items() if item[0] != lhs] + cancels
+        for a, b in (_pair_sources(new_rule, new_rule + others)
+                     + _pair_sources(others, new_rule)):
+            heapq.heappush(heap, (len(a), a, len(b), b))
+    return RewritingSystem(ngens, tuple(sorted(_decoded(table.items()))),
                            RewriteStatus.CONFLUENT)
-
-
-def _contains(big, small) -> bool:
-    n, m = len(big), len(small)
-    if m > n:
-        return False
-    return any(big[i:i + m] == small for i in range(n - m + 1))
 
 
 def system_from_rules(ngens: int, rules) -> RewritingSystem:

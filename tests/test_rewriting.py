@@ -22,7 +22,8 @@ from fillprobe.rewriting import (
     RewriteStatus,
     RewritingSystem,
     _cancellation_rules,
-    _reduce,
+    _decode,
+    _encode,
     _seed_rules,
     check_local_confluence,
     knuth_bendix_bounded,
@@ -333,6 +334,27 @@ def _catalog_completion(name, max_rules, max_len):
     return knuth_bendix_bounded(p, max_rules=max_rules, max_len=max_len)
 
 
+# tuple-word copies of the module's helpers before completion moved to
+# encoded words; the reference completion below runs on them
+
+def _reduce(word, table, maxlhs, prefix=()):
+    out = prefix
+    pending = list(reversed(word))
+    while pending:
+        x = pending.pop()
+        if out and out[-1] == -x:
+            out = out[:-1]
+            continue
+        out += (x,)
+        for length in range(min(maxlhs, len(out)), 0, -1):
+            rhs = table.get(out[-length:])
+            if rhs is not None:
+                out = out[:-length]
+                pending.extend(reversed(rhs))
+                break
+    return out
+
+
 def _contains(big, small) -> bool:
     n, m = len(big), len(small)
     if m > n:
@@ -385,6 +407,22 @@ def test_shortlex_key_matches_letter_by_letter_key(words):
     fresh = (-977, 3, 977)
     assert shortlex_key(fresh) == _old_shortlex_key(fresh)
     assert letter_rank(-977) == 2 * 976 + 1
+
+
+@given(st.lists(words_over(6), max_size=20))
+@example([(), (977,), (-977, 1, 977), (-977,)])
+@settings(max_examples=60)
+def test_encoding_round_trips_and_keeps_shortlex_order(words):
+    # ranks of 256 and above (+-977) are code points past Latin-1
+    codes = [_encode(w) for w in words]
+    for w, code in zip(words, codes):
+        assert _decode(code) == w
+        assert len(code) == len(w)
+        assert _encode(-x for x in w) == "".join(chr(ord(c) ^ 1) for c in code)
+    for u, cu in zip(words, codes):
+        for v, cv in zip(words, codes):
+            assert ((len(cu), cu) < (len(cv), cv)) == \
+                (shortlex_key(u) < shortlex_key(v))
 
 
 def _reference_pair_sources(l1, r1, l2, r2):
