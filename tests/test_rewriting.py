@@ -334,9 +334,9 @@ def _catalog_completion(name, max_rules, max_len):
     return knuth_bendix_bounded(p, max_rules=max_rules, max_len=max_len)
 
 
-# tuple-word copies of the module's helpers before completion moved to
-# encoded words; the reference completion below runs on them
-
+# reduction and containment on tuple words, verbatim from before the
+# module moved to encoded words: the reference completion and the
+# interreduction check run on them, independently of the module
 def _reduce(word, table, maxlhs, prefix=()):
     out = prefix
     pending = list(reversed(word))
