@@ -874,3 +874,42 @@ def test_ilp_from_given_root_skips_only_the_root_solve(problem):
     assert (given_root.status, given_root.value, given_root.witness) == \
         (fresh.status, fresh.value, fresh.witness)
     assert given_root.pivots == fresh.pivots - root.pivots
+
+
+# -- filling-shaped programs: degenerate, with +-1 column pairs -----------
+
+def _filling_programs():
+    """The filling LP of every circuit of the Z2 k8, S2 k8 and Z3 k5
+    hyperbolicity probes, at the circuit's reach r0 and at r0 + 1, as
+    the probe escalates them.  Unlike the drawn programs above these
+    are wide (up to 56 x 112 and 52 x 120) and highly degenerate, and column 2c + 1
+    is exactly -(column 2c)."""
+    from fillprobe.catalog import load
+    from fillprobe.complexes import enumerate_circuits, get_complex
+    from fillprobe.filling import _filling_program
+    from fillprobe.probes import _circuit_reach
+
+    programs = []
+    for name, k_max in (("Z2", 8), ("S2", 8), ("Z3", 5)):
+        presentation, rws = load(name)
+        ball = get_complex(presentation, rws, k_max // 2).ball
+        for circuit in enumerate_circuits(ball, k_max):
+            r0 = max(_circuit_reach(ball, circuit), 1)
+            for radius in (r0, r0 + 1):
+                program = _filling_program(
+                    circuit.chain, get_complex(presentation, rws, radius))
+                if program is not None:
+                    programs.append(program)
+    return programs
+
+
+def test_integer_tableau_matches_fraction_tableau_on_filling_programs():
+    programs = _filling_programs()
+    assert len(programs) == 184
+    assert max(len(p.rows) * p.num_vars for p in programs) == 56 * 112
+    for p in programs:
+        new = _Simplex(list(p.rows), list(p.rhs), list(p.objective))
+        ref = _FractionSimplex(list(p.rows), list(p.rhs), list(p.objective),
+                               [0] * p.num_vars, [None] * p.num_vars)
+        assert new.solve() == ref.solve()
+        assert new.pivots == ref.pivots
