@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .presentation import parse_presentation
-from .rewriting import knuth_bendix_bounded, system_from_rules
+from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix_bounded, system_from_rules
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ def get_entry(name: str) -> CatalogEntry:
         raise KeyError(f"unknown catalog entry {name!r}; available: {catalog_names()}")
 
 
-def load(name: str, *, max_rules: int = 256, max_len: int = 64):
+def load(name: str, *, max_rules: int = DEFAULT_MAX_RULES,
+         max_len: int = DEFAULT_MAX_LEN):
     """Return (presentation, rewriting system) for a catalog entry.
 
     Entries flagged completion-required run bounded completion here; the

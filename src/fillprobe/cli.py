@@ -20,16 +20,25 @@ import os
 import sys
 
 from . import catalog
-from .complexes import attach_cells, build_ball, complex_to_json, word_to_edge_chain
+from .complexes import (
+    DEFAULT_VERTEX_CAP,
+    DEFAULT_WALK_CAP,
+    attach_cells,
+    build_ball,
+    complex_to_json,
+    word_to_edge_chain,
+)
 from .errors import (
     FillprobeError,
     NotABoundaryError,
     PresentationSyntaxError,
     ResourceLimitError,
 )
+from .exactlp import DEFAULT_NODE_BUDGET
 from .filling import RING_Q, RING_Z, norm_with_escalation
 from .presentation import parse_presentation, presentation_rules_from_json
 from .rationals import qstr
+from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .probes import (
     EXHAUSTIVE,
     EXHAUSTIVE_K_CAP,
@@ -51,17 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fillprobe",
         description="filling norms and growth probes on Cayley 2-complexes")
-    parser.add_argument("--vertex-cap", type=int, default=200_000,
+    parser.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
                         help="abort ball construction beyond this many vertices")
-    parser.add_argument("--node-budget", type=int, default=100_000,
+    parser.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                         help="branch-and-bound node budget for integral norms")
-    parser.add_argument("--walk-cap", type=int, default=1_000_000,
+    parser.add_argument("--walk-cap", type=int, default=DEFAULT_WALK_CAP,
                         help="abort circuit enumeration beyond this many steps")
     parser.add_argument("--radius-cap", type=int, default=None,
                         help="largest ball radius any escalation may reach")
-    parser.add_argument("--kb-max-rules", type=int, default=256,
+    parser.add_argument("--kb-max-rules", type=int, default=DEFAULT_MAX_RULES,
                         help="completion budget: maximum rule count")
-    parser.add_argument("--kb-max-len", type=int, default=64,
+    parser.add_argument("--kb-max-len", type=int, default=DEFAULT_MAX_LEN,
                         help="completion budget: maximum rule word length")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled circuit generation")

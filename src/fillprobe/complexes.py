@@ -203,9 +203,6 @@ class TwoComplex:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def d2_column(self, cell_id: int) -> dict:
-        return self.d2[cell_id]
-
     def apply_d2(self, chain: Chain) -> Chain:
         if chain.dimension != 2:
             raise ValueError("apply_d2 expects a 2-chain")

@@ -12,8 +12,10 @@ that adds each branch bound as a row with its own slack column (Land and
 Doig 1960), so every node is again a standard-form program, solved
 exactly.
 
-Every Optimal result is verified against its instance (exact residuals,
-exact objective match) before being returned.
+The objective is read off the tableau, not recomputed from the point.
+Every Optimal result, rational or integral, is verified against its
+instance before being returned: exact residuals, signs, integrality
+where asked for, and c.x equal to the tableau's objective.
 
 The min-max problem of the amenability probe (least t with A x = b and
 |x_j| <= t, A a network matrix) is not solved by the simplex: by Gale's
@@ -148,9 +150,15 @@ class _Simplex:
     other rows by integer cross-multiplication; where the pivot row's
     denominator divides the eliminated entry (always, when it is 1) only
     the pivot row's nonzero columns change.  The reduced-cost row is
-    held the same way.  Row i's basic variable has the value
-    T[i][ncols] / den[i]; every nonbasic variable is 0.  Values leave as
-    rationals (``Q``).
+    held the same way; its rhs entry is minus the objective.
+
+    Only the structural columns 0..n-1 and the rhs (index n) are
+    stored.  Phase 1 starts at the basis of one artificial per row (row
+    i's basic variable is n + i); an artificial that leaves never
+    re-enters, so its column is never read.  A basic column is a unit
+    column with reduced cost exactly 0, so the pivot rules need no
+    basic set.  Row i's basic variable has the value T[i][n] / den[i];
+    every nonbasic variable is 0.  Values leave as rationals (``Q``).
     """
 
     def __init__(self, rows, rhs, objective):
@@ -163,48 +171,38 @@ class _Simplex:
         self.pivots = 0
 
     def solve(self):
-        zero = Q(0)
+        """Status, the values of x (a list) and the objective c.x."""
         m, n = self.m, self.n
-        # columns: structural 0..n-1, artificial n..n+m-1, rhs at index ncols
-        self.ncols = ncols = n + m
-        self.basic = [False] * n + [True] * m
         self.T, self.den = [], []
         for i in range(m):
             cols = list(self.rows[i])
             nums, d = _int_row([self.rows[i][j] for j in cols] + [self.rhs[i]])
             # each artificial starts at |b_i|
             s = 1 if nums[-1] >= 0 else -1
-            row = [0] * (ncols + 1)
+            row = [0] * (n + 1)
             for j, a in zip(cols, nums):
                 row[j] = s * a
-            row[n + i] = d
-            row[ncols] = s * nums[-1]
+            row[n] = s * nums[-1]
             self.T.append(row)
             self.den.append(d)
         self.basis = [n + i for i in range(m)]
-        self.banned = set()
 
-        # phase 1: drive sum of artificials to zero
+        # phase 1: drive the sum of the artificials to zero; each row
+        # holds an artificial at cost 1, so D = -sum_i T[i]
         dD = math.lcm(*self.den)
-        D = [0] * (ncols + 1)
+        D = [0] * (n + 1)
         for i in range(m):
             f = dD // self.den[i]
             row = self.T[i]
             for j in self.rows[i]:
                 D[j] -= f * row[j]
-        outcome = self._iterate(D, dD)
-        if outcome == "unbounded":
+            D[n] -= f * row[n]
+        infeas = self._iterate(D, dD)
+        if infeas is None:
             raise SolverError("phase 1 reported an unbounded objective")
-        infeas = zero
-        for i in range(self.m):
-            if self.basis[i] >= n:
-                infeas += Q(self.T[i][ncols], self.den[i])
         if infeas > 0:
             return LPStatus.INFEASIBLE, None, None
         self._expel_artificials()
-        # artificials never re-enter: drop their columns
-        self.T = [row[:n] + row[ncols:] for row in self.T]
-        self.ncols = ncols = n
 
         # phase 2 on the real objective: D = c - sum_i c_B(i) T[i]
         D, dD = _int_row([*self.c, 0])
@@ -217,17 +215,13 @@ class _Simplex:
                 g = math.gcd(a, b)
                 D, dD = _combine(D, dD, a // g, b // g, row,
                                  [l for l, v in enumerate(row) if v])
-        outcome = self._iterate(D, dD)
-        if outcome == "unbounded":
+        obj = self._iterate(D, dD)
+        if obj is None:
             return LPStatus.UNBOUNDED, None, None
 
-        values = [zero] * n
+        values = [Q(0)] * n
         for i in range(self.m):
-            values[self.basis[i]] = Q(self.T[i][ncols], self.den[i])
-        obj = zero
-        for j in range(n):
-            if values[j] and self.c[j]:
-                obj += self.c[j] * values[j]
+            values[self.basis[i]] = Q(self.T[i][n], self.den[i])
         return LPStatus.OPTIMAL, values, obj
 
     def _expel_artificials(self):
@@ -239,11 +233,7 @@ class _Simplex:
             if self.basis[i] < n:
                 continue
             row = self.T[i]
-            pivot_col = None
-            for j in range(n):
-                if not self.basic[j] and row[j]:
-                    pivot_col = j
-                    break
+            pivot_col = next((j for j in range(n) if row[j]), None)
             if pivot_col is None:
                 drop.append(i)
             else:
@@ -278,50 +268,45 @@ class _Simplex:
             if f and i != r:
                 g = math.gcd(piv, f)
                 T[i], den[i] = _combine(T[i], den[i], piv // g, f // g, row_r, nz)
-        self.basic[self.basis[r]] = False
         self.basis[r] = j
-        self.basic[j] = True
         return nz
 
     def _iterate(self, D, dD):
-        """Pivot until no improving nonbasic candidate remains; the
-        entering variable is the first improving one (Bland).  ``D`` is
-        the reduced-cost row, ints over ``dD``."""
-        T, den, basis, basic = self.T, self.den, self.basis, self.basic
+        """Pivot until no column has a negative reduced cost; the
+        entering column is the first one that does (Bland).  ``D`` is
+        the reduced-cost row, ints over ``dD``.  Returns the objective,
+        -D[n] / dD, or None when it is unbounded below."""
+        T, den, basis, n = self.T, self.den, self.basis, self.n
         while True:
-            for j in range(self.ncols):
-                if D[j] < 0 and not basic[j] and j not in self.banned:
+            for j in range(n):
+                if D[j] < 0:
                     break
             else:
-                return "optimal"
+                return Q(-D[n], dD)
 
-            # ratio test: the least T[i][ncols] / T[i][j] over rows with
+            # ratio test: the least T[i][n] / T[i][j] over rows with
             # T[i][j] > 0, ties to the smallest leaving index (Bland)
             leaving_row = None
             for i in range(self.m):
                 t = T[i][j]
                 if t <= 0:
                     continue
-                num = T[i][self.ncols]
+                num = T[i][n]
                 if leaving_row is not None:
                     lhs, rhs = num * best_t, best_num * t
                     if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving_row]):
                         continue
                 best_num, best_t, leaving_row = num, t, i
             if leaving_row is None:
-                return "unbounded"
+                return None
 
             self.pivots += 1
-            old = basis[leaving_row]
             nz = self._pivot(leaving_row, j)
-            if old >= self.n:
-                self.banned.add(old)
             # update the reduced-cost row
             f = D[j]
-            if f:
-                piv = den[leaving_row]
-                g = math.gcd(piv, f)
-                D, dD = _combine(D, dD, piv // g, f // g, T[leaving_row], nz)
+            piv = den[leaving_row]
+            g = math.gcd(piv, f)
+            D, dD = _combine(D, dD, piv // g, f // g, T[leaving_row], nz)
 
 
 def _verify_equalities(rows, rhs, values):
@@ -335,23 +320,30 @@ def _verify_equalities(rows, rhs, values):
             raise SolverError(f"witness violates constraint {i}")
 
 
+def _verified(lp: LinearProgram, values, obj, pivots, *,
+              integral: bool = False) -> LPResult:
+    """The Optimal result with ``values`` (a list) as its witness, once
+    they are checked against ``lp``: every row, x >= 0, integrality when
+    asked for, and c.x equal to ``obj``, the solver's objective."""
+    _verify_equalities(lp.rows, lp.rhs, values)
+    for v in values:
+        if v < 0:
+            raise SolverError("witness violates nonnegativity")
+        if integral and not _is_integer(v):
+            raise SolverError("integral witness has a fractional entry")
+    if sum((cj * v for cj, v in zip(lp.objective, values) if cj and v), Q(0)) != obj:
+        raise SolverError("objective mismatch")
+    witness = {j: v for j, v in enumerate(values) if v}
+    return LPResult(LPStatus.OPTIMAL, obj, witness, pivots)
+
+
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Exact optimum of a standard-form LP at a basic feasible solution."""
     simplex = _Simplex(list(lp.rows), list(lp.rhs), list(lp.objective))
     status, values, obj = simplex.solve()
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, pivots=simplex.pivots)
-    _verify_equalities(lp.rows, lp.rhs, values)
-    if any(v < 0 for v in values):
-        raise SolverError("witness violates nonnegativity")
-    check = Q(0)
-    for j, cj in enumerate(lp.objective):
-        if cj and values[j]:
-            check += cj * values[j]
-    if check != obj:
-        raise SolverError("objective mismatch")
-    witness = {j: v for j, v in enumerate(values) if v}
-    return LPResult(LPStatus.OPTIMAL, obj, witness, simplex.pivots)
+    return _verified(lp, values, obj, simplex.pivots)
 
 
 def _solve_node(lp: LinearProgram, bounds):
@@ -447,16 +439,8 @@ def solve_ilp(lp: LinearProgram, *,
 
     if incumbent is None:
         return LPResult(LPStatus.INFEASIBLE, pivots=total_pivots)
-    values = [Q(0)] * lp.num_vars
-    for j, v in incumbent.items():
-        values[j] = v
-    _verify_equalities(lp.rows, lp.rhs, values)
-    for v in values:
-        if not _is_integer(v):
-            raise SolverError("integral witness has a fractional entry")
-        if v < 0:
-            raise SolverError("witness violates nonnegativity")
-    return LPResult(LPStatus.OPTIMAL, incumbent_value, dict(incumbent), total_pivots)
+    values = [incumbent.get(j, Q(0)) for j in range(lp.num_vars)]
+    return _verified(lp, values, incumbent_value, total_pivots, integral=True)
 
 
 def _network_ends(rows, num_vars):

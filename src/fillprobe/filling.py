@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import Chain, TwoComplex, get_complex
+from .complexes import DEFAULT_VERTEX_CAP, Chain, TwoComplex, get_complex
 from .errors import NotABoundaryError, NotACycleError
-from .exactlp import LinearProgram, LPStatus, solve_ilp, solve_lp
+from .exactlp import DEFAULT_NODE_BUDGET, LinearProgram, LPStatus, solve_ilp, solve_lp
 from .presentation import GroupPresentation
 from .rationals import Q, is_integral, qstr
 from .rewriting import RewritingSystem
@@ -191,7 +191,7 @@ def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
 
 
 def filling_norm_z(b: Chain, complex_: TwoComplex, *,
-                   node_budget: int = 100_000) -> FillingCertificate:
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> FillingCertificate:
     """Minimal l1 mass of an integral filling within the ball (ILP)."""
     _require_cycle(b, complex_)
     if not b.is_integral():
@@ -216,8 +216,8 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
 def norm_with_escalation(b: Chain, presentation: GroupPresentation,
                          rws: RewritingSystem, r_start: int, r_max: int, *,
                          ring: str = RING_Q,
-                         vertex_cap: int = 200_000,
-                         node_budget: int = 100_000,
+                         vertex_cap: int = DEFAULT_VERTEX_CAP,
+                         node_budget: int = DEFAULT_NODE_BUDGET,
                          cache_dir: str | None = None,
                          bound=None) -> FillingCertificate:
     """Compute the norm at growing radii, stopping once the value repeats

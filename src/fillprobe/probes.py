@@ -17,9 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .complexes import Circuit, add_circuit, enumerate_circuits, get_complex
+from .complexes import (
+    DEFAULT_VERTEX_CAP,
+    DEFAULT_WALK_CAP,
+    Circuit,
+    add_circuit,
+    enumerate_circuits,
+    get_complex,
+)
 from .errors import ResourceLimitError
-from .exactlp import LPStatus, solve_minmax
+from .exactlp import DEFAULT_NODE_BUDGET, LPStatus, solve_minmax
 from .filling import norm_with_escalation
 from .presentation import GroupPresentation, word_to_text
 from .rationals import Q, qstr
@@ -46,16 +53,19 @@ RATIO_DRIFT_TOLERANCE = Q(1, 10)
 FLOW_DECAY_RATIO = Q(1, 2)
 FLOW_GROWTH_RATIO = Q(3, 4)
 
+# Radii past a circuit's reach that its escalation may use, and the
+# number of seeded walks of sampled mode.
+ESCALATION_MARGIN = 1
+SAMPLE_WALKS = 500
+
 
 @dataclass
 class ProbeConfig:
     """Caps and knobs shared by the probe operations."""
 
-    vertex_cap: int = 200_000
-    walk_cap: int = 1_000_000
-    node_budget: int = 100_000
-    escalation_margin: int = 1
-    sample_walks: int = 500
+    vertex_cap: int = DEFAULT_VERTEX_CAP
+    walk_cap: int = DEFAULT_WALK_CAP
+    node_budget: int = DEFAULT_NODE_BUDGET
     cache_dir: str | None = None
 
 
@@ -184,7 +194,7 @@ def estimate_fv(presentation: GroupPresentation, rws: RewritingSystem,
     if mode == EXHAUSTIVE:
         circuits = enumerate_circuits(ball, k_max, walk_cap=cfg.walk_cap)
     else:
-        circuits = _sampled_circuits(ball, k_max, seed, cfg.sample_walks)
+        circuits = _sampled_circuits(ball, k_max, seed, SAMPLE_WALKS)
 
     masses = [c.chain.l1() for c in circuits]
     certs = []
@@ -194,7 +204,7 @@ def estimate_fv(presentation: GroupPresentation, rws: RewritingSystem,
         bound = max((v for m, v in best_of_mass.items() if m <= mass), default=None)
         try:
             cert = norm_with_escalation(
-                circuit.chain, presentation, rws, r0, r0 + cfg.escalation_margin,
+                circuit.chain, presentation, rws, r0, r0 + ESCALATION_MARGIN,
                 vertex_cap=cfg.vertex_cap, node_budget=cfg.node_budget,
                 cache_dir=cfg.cache_dir, bound=bound)
         except ResourceLimitError:

@@ -22,9 +22,6 @@ except ImportError:  # no gmpy2: Fraction is the backend in use
 
     RationalType = Fraction
 
-ZERO = Q(0)
-ONE = Q(1)
-
 
 def qstr(x) -> str:
     """Serialize a rational as 'num/den', always with an explicit denominator."""

@@ -8,6 +8,7 @@ from fillprobe.errors import NodeBudgetError
 from fillprobe.exactlp import (
     LinearProgram,
     LPStatus,
+    SolverError,
     _Simplex,
     _solve_node,
     solve_ilp,
@@ -101,6 +102,29 @@ def test_ilp_node_budget():
         solve_ilp(problem, node_budget=2)
     assert exc.value.limit == 2
     assert exc.value.lower is not None
+    assert exc.value.witness is None
+    # once an incumbent exists, the error carries it as a dict
+    with pytest.raises(NodeBudgetError) as exc:
+        solve_ilp(problem, node_budget=40)
+    assert exc.value.upper == 3
+    assert exc.value.witness == {2: Q(2), 7: Q(1)}
+
+
+def test_objective_mismatch_is_caught_by_both_solvers(monkeypatch):
+    """The tableau's objective is checked against c.x of its point, on
+    the rational and the integral result alike."""
+    solve = _Simplex.solve
+
+    def off_by_one(self):
+        status, values, obj = solve(self)
+        return status, values, None if obj is None else obj + 1
+
+    monkeypatch.setattr(_Simplex, "solve", off_by_one)
+    problem = lp(2, [{0: 1, 1: 2}], [3], [1, 1])
+    with pytest.raises(SolverError, match="objective mismatch"):
+        solve_lp(problem)
+    with pytest.raises(SolverError, match="objective mismatch"):
+        solve_ilp(problem)
 
 
 def test_ilp_greater_equal_lp():

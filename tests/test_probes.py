@@ -7,7 +7,9 @@ from fillprobe.errors import ResourceLimitError
 from fillprobe.filling import norm_with_escalation
 from fillprobe.presentation import word_to_text
 from fillprobe.probes import (
+    ESCALATION_MARGIN,
     EXHAUSTIVE,
+    SAMPLE_WALKS,
     SAMPLED,
     FVEstimate,
     FVRow,
@@ -62,14 +64,12 @@ def test_estimate_fv_rejects_bad_modes(z2):
 
 def test_estimate_fv_sampled_mode_subset_of_truth(z2):
     presentation, rws = z2
-    est = estimate_fv(presentation, rws, 6, SAMPLED, seed=0,
-                      config=ProbeConfig(sample_walks=200))
+    est = estimate_fv(presentation, rws, 6, SAMPLED, seed=0)
     exhaustive = estimate_fv(presentation, rws, 6, EXHAUSTIVE)
     for k, row in est.table.items():
         assert row.value <= exhaustive.table[k].value
     # determinism under a fixed seed
-    again = estimate_fv(presentation, rws, 6, SAMPLED, seed=0,
-                        config=ProbeConfig(sample_walks=200))
+    again = estimate_fv(presentation, rws, 6, SAMPLED, seed=0)
     assert {k: r.value for k, r in est.table.items()} == \
         {k: r.value for k, r in again.table.items()}
 
@@ -224,30 +224,29 @@ def test_amenability_rejects_bad_radii(z2):
 
 def test_fv_entries_never_grow_with_radius_headroom(z2):
     presentation, rws = z2
-    snug = estimate_fv(presentation, rws, 6,
-                       config=ProbeConfig(escalation_margin=1))
-    roomy = estimate_fv(presentation, rws, 6,
-                        config=ProbeConfig(escalation_margin=3))
-    for k in snug.table:
-        assert roomy.table[k].value <= snug.table[k].value
+    ball = get_complex(presentation, rws, 3).ball
+    for circuit in enumerate_circuits(ball, 6):
+        r0 = max(_circuit_reach(ball, circuit), 1)
+        snug = norm_with_escalation(circuit.chain, presentation, rws, r0, r0 + 1)
+        roomy = norm_with_escalation(circuit.chain, presentation, rws, r0, r0 + 3)
+        assert roomy.value <= snug.value
 
 
-
-
-def _unpruned_fv(presentation, rws, k_max, mode, seed, cfg):
+def _unpruned_fv(presentation, rws, k_max, mode, seed, cfg, margin):
     """``estimate_fv``'s table and ``capped`` as computed before circuits
-    got a bound: every circuit escalates through all of its radii."""
+    got a bound: every circuit escalates through all of its radii, up to
+    ``margin`` past its reach."""
     ball = get_complex(presentation, rws, k_max // 2, vertex_cap=cfg.vertex_cap).ball
     if mode == EXHAUSTIVE:
         circuits = enumerate_circuits(ball, k_max, walk_cap=cfg.walk_cap)
     else:
-        circuits = _sampled_circuits(ball, k_max, seed, cfg.sample_walks)
+        circuits = _sampled_circuits(ball, k_max, seed, SAMPLE_WALKS)
     capped, certs = False, []
     for circuit in circuits:
         r0 = max(_circuit_reach(ball, circuit), 1)
         try:
             certs.append(norm_with_escalation(
-                circuit.chain, presentation, rws, r0, r0 + cfg.escalation_margin,
+                circuit.chain, presentation, rws, r0, r0 + margin,
                 vertex_cap=cfg.vertex_cap, node_budget=cfg.node_budget))
         except ResourceLimitError:
             capped = True
@@ -286,40 +285,35 @@ FV_CASES = [("Z2", 8, EXHAUSTIVE, 0), ("S2", 8, EXHAUSTIVE, 0), ("Z3", 5, EXHAUS
     [("Z2", 10, SAMPLED, seed) for seed in range(6)]
 
 
-@pytest.mark.parametrize("margin", [1, 2])
+# the probe escalates each circuit ESCALATION_MARGIN radii past its reach
+@pytest.mark.parametrize("margin", [ESCALATION_MARGIN])
 @pytest.mark.parametrize("name,k_max,mode,seed", FV_CASES)
 def test_estimate_fv_matches_unpruned_loop(name, k_max, mode, seed, margin, monkeypatch):
     presentation, rws = load(name)
-    cfg = ProbeConfig(escalation_margin=margin)
+    cfg = ProbeConfig()
     calls = _count_lp_solves(monkeypatch)
     est = estimate_fv(presentation, rws, k_max, mode, seed=seed, config=cfg)
     pruned = len(calls)
-    table, capped = _unpruned_fv(presentation, rws, k_max, mode, seed, cfg)
+    table, capped = _unpruned_fv(presentation, rws, k_max, mode, seed, cfg, margin)
     assert est.table == table
     assert est.capped == capped
-    # at margin 1 a circuit whose first value is at most its bound skips
-    # its second program; at margin 2 every circuit here repeats its
-    # value at r0 + 1 and stops there, so none reaches a skippable r_max
-    unpruned = len(calls) - pruned
-    assert pruned < unpruned if margin == 1 else pruned == unpruned
+    # a circuit whose first value is at most its bound skips its second program
+    assert pruned < len(calls) - pruned
 
 
 @pytest.mark.parametrize("margin,capped_radius,capped,verdict", [
     # every radius-5 circuit is at most its bound, so only their
     # skipped r0 + 1 = 6 ball trips the cap
-    (1, 6, True, "inconclusive"),
-    # they repeat their value at 6, so the loop never asks for the
-    # radius-7 ball, with or without the bound
-    (2, 7, False, "non-hyperbolic-evidence"),
+    (ESCALATION_MARGIN, 6, True, "inconclusive"),
 ])
 def test_skipped_radius_still_sets_capped(margin, capped_radius, capped, verdict):
     presentation, rws = load("Z2")
     cap = get_complex(presentation, rws, capped_radius).ball.num_vertices - 1
-    cfg = ProbeConfig(vertex_cap=cap, escalation_margin=margin)
+    cfg = ProbeConfig(vertex_cap=cap)
     report = probe_hyperbolicity(presentation, rws, k_max=10, mode=SAMPLED,
                                  seed=0, config=cfg)
     assert (report.estimate.capped, report.verdict) == (capped, verdict)
-    table, reference_capped = _unpruned_fv(presentation, rws, 10, SAMPLED, 0, cfg)
+    table, reference_capped = _unpruned_fv(presentation, rws, 10, SAMPLED, 0, cfg, margin)
     assert reference_capped == capped
     assert report.estimate.table == table
 
