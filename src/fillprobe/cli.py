@@ -38,7 +38,6 @@ from .exactlp import DEFAULT_NODE_BUDGET
 from .filling import RING_Q, RING_Z, norm_with_escalation
 from .presentation import parse_presentation, presentation_rules_from_json
 from .rationals import qstr
-from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .probes import (
     EXHAUSTIVE,
     EXHAUSTIVE_K_CAP,
@@ -47,7 +46,7 @@ from .probes import (
     probe_amenability,
     probe_hyperbolicity,
 )
-from .rewriting import knuth_bendix_bounded, system_from_rules
+from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix_bounded, system_from_rules
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
