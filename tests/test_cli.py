@@ -10,6 +10,8 @@ from fillprobe.complexes import clear_memo
 from fillprobe.presentation import parse_presentation
 from fillprobe.rationals import parse_q
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -101,18 +103,11 @@ def test_fill_not_closed_exit_3(capsys):
     assert code == 3
 
 
-def test_fill_no_cells_exit_4(tmp_path, capsys):
+def test_fill_no_cells_exit_4(capsys):
     # normal forms supplied by rules, but no relators: the graph carries
     # no 2-cells, so the closed commutator cannot bound
-    payload = {
-        "generators": ["a", "b"],
-        "relators": [],
-        "rules": [["b a", "a b"], ["b a^-1", "a^-1 b"],
-                  ["b^-1 a", "a b^-1"], ["b^-1 a^-1", "a^-1 b^-1"]],
-    }
-    path = tmp_path / "torus_graph.json"
-    path.write_text(json.dumps(payload))
-    code, out = run_cli(capsys, "fill", str(path), "a b a^-1 b^-1")
+    code, out = run_cli(capsys, "fill", str(DATA / "torus_graph.json"),
+                        "a b a^-1 b^-1")
     assert code == 4
     assert "NoWithinBall" in json.loads(out)["error"]
 
@@ -142,9 +137,6 @@ def test_fill_default_window_starts_at_the_loop_reach(capsys):
     assert report["radius_window"] == [3, 5]
     assert report["certificates"]["Q"]["value"] == "3/1"
     assert report["certificates"]["Z"]["value"] == "3/1"
-
-
-DATA = Path(__file__).parent / "data"
 
 
 def _old_start_radius(source, l1):

@@ -1,7 +1,7 @@
-"""Pinned report bytes for cheap CLI commands.
+"""Pinned report bytes and exit codes for cheap CLI commands.
 
 The expected files under ``tests/data/golden/`` hold the exact stdout of
-each command.  A refactor that changes any report byte (a value, a
+each command, success and error reports alike.  A refactor that changes any report byte (a value, a
 witness entry, a radius, key order or whitespace) fails here, which a
 comparison of two runs of the same code cannot catch.
 """
@@ -39,4 +39,35 @@ def test_report_bytes_match_golden(name, capsys):
     code = main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# one command per error path: (exit code, argv)
+ERROR_CASES = {
+    "error_unknown_source": (2, ["parse", "NoSuchGroup"]),
+    "error_unknown_generator": (2, ["fill", "Z2", "a z"]),
+    "error_negative_cap": (2, ["--vertex-cap", "-5", "parse", "Z2"]),
+    "error_k_max_too_small": (2, ["fv", "Z2", "--k-max", "2"]),
+    "error_bad_radii": (2, ["probe", "amenable", "F2", "--radii", "x,y"]),
+    "error_not_closed": (3, ["fill", "Z2", "a b"]),
+    # rules without relators: a graph with no 2-cells
+    "error_no_cells": (4, ["fill", str(DATA / "torus_graph.json"), "a b a^-1 b^-1"]),
+    "error_incomplete_system": (5, ["--kb-max-rules", "8", "ball", "BS12", "--radius", "1"]),
+    "error_vertex_cap_ball": (5, ["--vertex-cap", "10", "ball", "Z2", "--radius", "3"]),
+    "error_vertex_cap_fill": (5, ["--vertex-cap", "10", "fill", "Z2", "a b a^-1 b^-1"]),
+    "error_vertex_cap_fv": (5, ["--vertex-cap", "10", "fv", "Z2", "--k-max", "4"]),
+    "error_radius_cap": (5, ["--radius-cap", "1", "fill", "Z2", "a b a^-1 b^-1"]),
+    # a partial report: the Q certificate, and the budget error for Z
+    "error_node_budget": (5, ["--node-budget", "1", "fill",
+                              str(DATA / "z3_cube_sixth.txt"), "a^3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_error_report_bytes_match_golden(name, capsys):
+    clear_memo()
+    expected_code, argv = ERROR_CASES[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
