@@ -8,11 +8,17 @@ Exit codes: 0 success, 2 presentation/syntax problem, 3 fill word not
 closed, 4 no filling within the allowed balls, 5 resource caps or an
 incomplete rewriting system (partial reports are flagged, never silently
 truncated).
+
+Every report, error reports included, leaves through ``_emit``; ``main``
+turns an error that a command raises into its report and exit code.
+With ``--out PREFIX`` every run writes ``PREFIX.json``, and ``PREFIX.csv``
+when its report has a table; otherwise it removes a stale ``PREFIX.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -87,24 +93,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="validate a presentation")
     p.add_argument("source", help="file path or catalog name")
+    p.set_defaults(run=_cmd_parse)
 
     p = sub.add_parser("ball", help="build a truncated complex and report sizes")
     p.add_argument("source")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--export", default=None,
                    help="write the complex as coordinate-form JSON")
+    p.set_defaults(run=_cmd_ball)
 
     p = sub.add_parser("fill", help="filling norms of a closed word, both rings")
     p.add_argument("source")
     p.add_argument("word", help="closed word, e.g. 'a b a^-1 b^-1'")
     p.add_argument("--radius", type=int, default=None,
                    help="starting ball radius (default: the loop's reach)")
+    p.set_defaults(run=_cmd_fill)
 
     p = sub.add_parser("fv", help="tabulate the filling-function estimate")
     p.add_argument("source")
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--mode", choices=(EXHAUSTIVE, SAMPLED), default=None,
                    help="circuit source (default: exhaustive up to the cap)")
+    p.set_defaults(run=_cmd_fv)
 
     p = sub.add_parser("probe", help="desk-scale verdicts")
     probe_sub = p.add_subparsers(dest="probe_kind", required=True)
@@ -112,20 +122,30 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("source")
     ph.add_argument("--k-max", type=int, default=8)
     ph.add_argument("--mode", choices=(EXHAUSTIVE, SAMPLED), default=None)
+    ph.set_defaults(run=_cmd_probe_hyperbolic)
     pa = probe_sub.add_parser("amenable", help="bounded-flow verdict")
     pa.add_argument("source")
     pa.add_argument("--radii", default="2,3,4,5",
                     help="comma-separated ball radii")
+    pa.set_defaults(run=_cmd_probe_amenable)
 
     p = sub.add_parser("catalog", help="built-in presentations")
     catalog_sub = p.add_subparsers(dest="catalog_action", required=True)
-    catalog_sub.add_parser("list", help="list catalog entries")
+    p = catalog_sub.add_parser("list", help="list catalog entries")
+    p.set_defaults(run=_cmd_catalog)
 
     return parser
 
 
-def _load_source(args):
-    """Resolve a source argument to (name, presentation, rewriting system)."""
+class _Refusal(Exception):
+    """Ends a command early; its args are the report and the exit code."""
+
+
+def _load_source(args, confluent=True):
+    """Resolve a source argument to (name, presentation, rewriting system).
+
+    With ``confluent``, an incomplete rewriting system refuses the
+    command (exit 5): only ``parse`` reports on one."""
     source = args.source
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -149,12 +169,19 @@ def _load_source(args):
                                        max_rules=args.kb_max_rules,
                                        max_len=args.kb_max_len)
         name = os.path.basename(source)
-        return name, presentation, rws
-    if source in catalog.CATALOG:
+    elif source in catalog.CATALOG:
         presentation, rws = catalog.load(source, max_rules=args.kb_max_rules,
                                          max_len=args.kb_max_len)
-        return source, presentation, rws
-    raise PresentationSyntaxError(f"source {source!r}: no such file or catalog entry")
+        name = source
+    else:
+        raise PresentationSyntaxError(f"source {source!r}: no such file or catalog entry")
+    if confluent and not rws.confluent:
+        raise _Refusal({"error": "rewriting system is incomplete within the "
+                                 "completion budget; supply rules or raise "
+                                 "--kb-max-rules",
+                        "rewriting": {"status": rws.status.value,
+                                      "rules": len(rws.rules)}}, EXIT_RESOURCE)
+    return name, presentation, rws
 
 
 def _config(args) -> ProbeConfig:
@@ -178,7 +205,8 @@ def _config_echo(args) -> dict:
 
 
 def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
-    """Print to stdout and, when --out is given, write the report files."""
+    """Print to stdout and, when --out is given, write the report files:
+    always PREFIX.json, and PREFIX.csv exactly when there is a table."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     csv_text = None
     if csv_rows is not None:
@@ -197,15 +225,13 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
         if csv_text is not None:
             with open(args.out + ".csv", "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(args.out + ".csv")
 
 
 def _cmd_parse(args) -> int:
-    try:
-        name, presentation, rws = _load_source(args)
-    except PresentationSyntaxError as exc:
-        _emit(args, {"valid": False, "error": str(exc),
-                     "line": exc.line, "column": exc.column})
-        return EXIT_SYNTAX
+    name, presentation, rws = _load_source(args, confluent=False)
     report = {
         "valid": True,
         "source": name,
@@ -218,29 +244,9 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _require_confluent(args, rws, report_extra=None) -> int | None:
-    if rws.confluent:
-        return None
-    report = {"error": "rewriting system is incomplete within the completion "
-                       "budget; supply rules or raise --kb-max-rules",
-              "rewriting": {"status": rws.status.value, "rules": len(rws.rules)}}
-    if report_extra:
-        report.update(report_extra)
-    _emit(args, report)
-    return EXIT_RESOURCE
-
-
 def _cmd_ball(args) -> int:
     name, presentation, rws = _load_source(args)
-    failure = _require_confluent(args, rws)
-    if failure is not None:
-        return failure
-    try:
-        ball = build_ball(presentation, rws, args.radius,
-                          vertex_cap=args.vertex_cap)
-    except ResourceLimitError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_RESOURCE
+    ball = build_ball(presentation, rws, args.radius, vertex_cap=args.vertex_cap)
     complex_ = attach_cells(ball, presentation)
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
@@ -260,9 +266,6 @@ def _cmd_fill(args) -> int:
     from .complexes import get_complex
 
     name, presentation, rws = _load_source(args)
-    failure = _require_confluent(args, rws)
-    if failure is not None:
-        return failure
     word = presentation.word(args.word)
     # the walk must stay inside the starting ball; its last vertex is
     # the word's normal form
@@ -275,13 +278,9 @@ def _cmd_fill(args) -> int:
         _emit(args, {"error": "word is not closed (does not represent the identity)",
                      "word": args.word})
         return EXIT_NOT_CLOSED
-    try:
-        reach = get_complex(presentation, rws, prefix_reach,
-                            vertex_cap=args.vertex_cap, cache_dir=args.cache_dir)
-        chain = word_to_edge_chain(reach.ball, word)
-    except ResourceLimitError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_RESOURCE
+    reach = get_complex(presentation, rws, prefix_reach,
+                        vertex_cap=args.vertex_cap, cache_dir=args.cache_dir)
+    chain = word_to_edge_chain(reach.ball, word)
     # the radius only has to hold the loop: a value in a ball is exact
     # for that ball and an upper bound for the group
     r_start = max(args.radius or 0, prefix_reach)
@@ -356,9 +355,6 @@ def _fv_csv(estimate):
 
 def _cmd_fv(args) -> int:
     name, presentation, rws = _load_source(args)
-    failure = _require_confluent(args, rws)
-    if failure is not None:
-        return failure
     from .probes import estimate_fv
     try:
         estimate = estimate_fv(presentation, rws, args.k_max, _fv_mode(args),
@@ -375,9 +371,6 @@ def _cmd_fv(args) -> int:
 
 def _cmd_probe_hyperbolic(args) -> int:
     name, presentation, rws = _load_source(args)
-    failure = _require_confluent(args, rws)
-    if failure is not None:
-        return failure
     report_obj = probe_hyperbolicity(
         presentation, rws, k_max=args.k_max, mode=_fv_mode(args),
         seed=args.seed, config=_config(args), presentation_id=name)
@@ -390,14 +383,10 @@ def _cmd_probe_hyperbolic(args) -> int:
 
 def _cmd_probe_amenable(args) -> int:
     name, presentation, rws = _load_source(args)
-    failure = _require_confluent(args, rws)
-    if failure is not None:
-        return failure
     try:
         radii = [int(r) for r in args.radii.split(",") if r.strip()]
     except ValueError:
-        _emit(args, {"error": f"bad radii list {args.radii!r}"})
-        return EXIT_SYNTAX
+        raise ValueError(f"bad radii list {args.radii!r}") from None
     try:
         probe = probe_amenability(presentation, rws, radii,
                                   config=_config(args), presentation_id=name)
@@ -432,41 +421,26 @@ def _cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag in ("vertex_cap", "node_budget", "walk_cap",
-                 "kb_max_rules", "kb_max_len"):
-        if getattr(args, flag) <= 0:
-            sys.stdout.write(json.dumps(
-                {"error": f"--{flag.replace('_', '-')} must be positive"},
-                sort_keys=True, indent=2) + "\n")
-            return EXIT_SYNTAX
-    handlers = {
-        "parse": _cmd_parse,
-        "ball": _cmd_ball,
-        "fill": _cmd_fill,
-        "fv": _cmd_fv,
-        "catalog": _cmd_catalog,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "probe":
-            if args.probe_kind == "hyperbolic":
-                return _cmd_probe_hyperbolic(args)
-            return _cmd_probe_amenable(args)
-        return handlers[args.command](args)
+        for flag in ("vertex_cap", "node_budget", "walk_cap",
+                     "kb_max_rules", "kb_max_len"):
+            if getattr(args, flag) <= 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive")
+        return args.run(args)
+    except _Refusal as exc:
+        report, code = exc.args
+        _emit(args, report)
+        return code
     except ValueError as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True,
-                                    indent=2) + "\n")
+        _emit(args, {"error": str(exc)})
         return EXIT_SYNTAX
     except PresentationSyntaxError as exc:
-        sys.stdout.write(json.dumps(
-            {"valid": False, "error": str(exc),
-             "line": exc.line, "column": exc.column},
-            sort_keys=True, indent=2) + "\n")
+        _emit(args, {"valid": False, "error": str(exc),
+                     "line": exc.line, "column": exc.column})
         return EXIT_SYNTAX
     except FillprobeError as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}, sort_keys=True,
-                                    indent=2) + "\n")
+        _emit(args, {"error": str(exc)})
         return EXIT_RESOURCE
 
 

@@ -472,8 +472,7 @@ def _network_ends(rows, num_vars):
 def _scaled_demands(rhs):
     """Integer demands L*b_i, L the lcm of the rhs denominators, plus the
     ground node's demand -sum(L*b_i) last; and L."""
-    scale = math.lcm(*(int(v.denominator) for v in rhs))
-    demands = [int(v.numerator) * (scale // int(v.denominator)) for v in rhs]
+    demands, scale = _int_row(rhs)
     demands.append(-sum(demands))
     return demands, scale
 

@@ -422,19 +422,18 @@ def probe_amenability(presentation: GroupPresentation, rws: RewritingSystem,
         ball = complex_.ball
         interior = [v for v in range(ball.num_vertices) if ball.depth[v] < radius]
         row_of = {v: i for i, v in enumerate(interior)}
-        rows = [dict() for _ in interior]
+        # s != t puts the edge's two entries in distinct rows: none cancels
+        rows = [{} for _ in interior]
         for e, (s, _, t) in enumerate(ball.edges):
             if s == t:
                 continue
             i = row_of.get(t)
             if i is not None:
-                rows[i][e] = rows[i].get(e, Q(0)) + 1
+                rows[i][e] = 1
             i = row_of.get(s)
             if i is not None:
-                rows[i][e] = rows[i].get(e, Q(0)) - 1
-        rows = [{e: v for e, v in row.items() if v} for row in rows]
-        rhs = [Q(1)] * len(interior)
-        result = solve_minmax(rows, rhs, ball.num_edges)
+                rows[i][e] = -1
+        result = solve_minmax(rows, [1] * len(interior), ball.num_edges)
         if result.status is LPStatus.OPTIMAL:
             return AmenabilityRow(result.value, "optimal", len(interior),
                                   ball.num_edges, len(result.witness))

@@ -205,6 +205,20 @@ def test_fv_writes_csv_and_json(tmp_path, capsys):
     assert lines[2].startswith("4,1/1,")
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["fv", "Z2", "--k-max", "2"], 2),
+    (["parse", "Z2"], 0),
+], ids=["error-report", "report-without-table"])
+def test_out_files_hold_only_the_latest_report(tmp_path, capsys, argv, expected):
+    prefix = str(tmp_path / "p")
+    assert run_cli(capsys, "--out", prefix, "fv", "Z2", "--k-max", "5")[0] == 0
+    assert (tmp_path / "p.csv").exists()
+    code, out = run_cli(capsys, "--out", prefix, *argv)
+    assert code == expected
+    assert (tmp_path / "p.json").read_text() == out
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_fv_csv_stdout_format(capsys):
     code, out = run_cli(capsys, "--format", "csv", "fv", "Z2", "--k-max", "4")
     assert code == 0
