@@ -25,7 +25,6 @@ from .complexes import (
     Circuit,
     TwoComplex,
     attach_cells,
-    boundary_matrices,
     build_ball,
     complex_from_json,
     complex_to_json,
@@ -52,12 +51,9 @@ from .exactlp import (
     solve_minmax,
 )
 from .filling import (
-    BoundaryCheck,
     FillingCertificate,
     filling_norm_q,
     filling_norm_z,
-    is_boundary,
-    l1_norm,
     norm_with_escalation,
 )
 from .presentation import (
@@ -69,7 +65,6 @@ from .presentation import (
     parse_presentation,
     parse_word,
     shortlex_key,
-    shortlex_less,
     word_to_text,
 )
 from .probes import (

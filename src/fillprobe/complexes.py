@@ -67,9 +67,6 @@ class Chain:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.entries.values())
 
-    def support(self):
-        return sorted(self.entries)
-
 
 @dataclass
 class CayleyBall:
@@ -278,12 +275,6 @@ def attach_cells(ball: CayleyBall, presentation: GroupPresentation) -> TwoComple
         cells.append((v, ri))
         columns.append(col)
     return TwoComplex(ball, presentation, cells, columns)
-
-
-def boundary_matrices(complex_: TwoComplex):
-    """Sparse boundary maps as column dictionaries: (d1, d2)."""
-    d1 = [complex_.ball.d1_column(e) for e in range(complex_.ball.num_edges)]
-    return d1, list(complex_.d2)
 
 
 def d1_composed_with_d2_is_zero(complex_: TwoComplex) -> bool:

@@ -5,12 +5,13 @@ the standard form min c.x subject to A x = b, x >= 0.  The tableau is
 fraction-free: each row is a list of Python ints over one positive int
 denominator, eliminated by integer cross-multiplication (Edmonds 1967,
 Bareiss 1968) and reduced by its gcd, so no rational object is built per
-entry; values leave as rationals.  Pivoting follows Bland's rule (first
-improving column, smallest leaving index on ties) for its termination
-guarantee.  Integer programs are solved by depth-first branch and bound
-that adds each branch bound as a row with its own slack column (Land and
-Doig 1960), so every node is again a standard-form program, solved
-exactly.
+entry; values leave as rationals.  One pivot routine updates the
+constraint rows and both reduced-cost rows, phase 1's and the real
+objective's.  Pivoting follows Bland's rule (first improving column,
+smallest leaving index on ties) for its termination guarantee.  Integer
+programs are solved by depth-first branch and bound that adds each
+branch bound as a row with its own slack column (Land and Doig 1960), so
+every node is again a standard-form program, solved exactly.
 
 The objective is read off the tableau, not recomputed from the point.
 Every Optimal result, rational or integral, is verified against its
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FillprobeError, NodeBudgetError
-from .rationals import Q, qstr
+from .rationals import Q, is_integral, qstr
 
 DEFAULT_NODE_BUDGET = 100_000
 
@@ -149,8 +150,10 @@ class _Simplex:
     row by the pivot element and removes the gcd, then eliminates the
     other rows by integer cross-multiplication; where the pivot row's
     denominator divides the eliminated entry (always, when it is 1) only
-    the pivot row's nonzero columns change.  The reduced-cost row is
-    held the same way; its rhs entry is minus the objective.
+    the pivot row's nonzero columns change.  Both phases' reduced-cost
+    rows are held the same way after the constraint rows, and the one
+    pivot routine updates them too; a row's rhs entry is minus its
+    objective.
 
     Only the structural columns 0..n-1 and the rhs (index n) are
     stored.  Phase 1 starts at the basis of one artificial per row (row
@@ -187,8 +190,9 @@ class _Simplex:
             self.den.append(d)
         self.basis = [n + i for i in range(m)]
 
-        # phase 1: drive the sum of the artificials to zero; each row
-        # holds an artificial at cost 1, so D = -sum_i T[i]
+        # phase 1's row, last, charges each artificial 1, so it is
+        # -sum_i T[i]; the real objective's row starts as c, because the
+        # artificials cost nothing in it
         dD = math.lcm(*self.den)
         D = [0] * (n + 1)
         for i in range(m):
@@ -197,25 +201,22 @@ class _Simplex:
             for j in self.rows[i]:
                 D[j] -= f * row[j]
             D[n] -= f * row[n]
-        infeas = self._iterate(D, dD)
+        C, dC = _int_row([*self.c, 0])
+        self.T += [C, D]
+        self.den += [dC, dD]
+
+        # phase 1: drive the sum of the artificials to zero
+        infeas = self._iterate()
         if infeas is None:
             raise SolverError("phase 1 reported an unbounded objective")
         if infeas > 0:
             return LPStatus.INFEASIBLE, None, None
         self._expel_artificials()
+        self.T.pop()
+        self.den.pop()
 
-        # phase 2 on the real objective: D = c - sum_i c_B(i) T[i]
-        D, dD = _int_row([*self.c, 0])
-        for i in range(self.m):
-            cost = self.c[self.basis[i]]
-            if cost:
-                row = self.T[i]
-                a = int(cost.denominator) * self.den[i]
-                b = int(cost.numerator) * dD
-                g = math.gcd(a, b)
-                D, dD = _combine(D, dD, a // g, b // g, row,
-                                 [l for l, v in enumerate(row) if v])
-        obj = self._iterate(D, dD)
+        # phase 2 on the real objective's row, carried through phase 1
+        obj = self._iterate()
         if obj is None:
             return LPStatus.UNBOUNDED, None, None
 
@@ -245,8 +246,8 @@ class _Simplex:
             self.m -= 1
 
     def _pivot(self, r, j):
-        """Row operations making column j basic in row r; returns the
-        pivot row's nonzero columns."""
+        """Row operations making column j basic in row r, on every row
+        held: the constraint rows and the reduced-cost rows after them."""
         T, den = self.T, self.den
         row_r = T[r]
         piv = row_r[j]
@@ -263,26 +264,26 @@ class _Simplex:
                 piv //= g
             T[r], den[r] = row_r, piv
         nz = [l for l, v in enumerate(row_r) if v]
-        for i in range(self.m):
+        for i in range(len(T)):
             f = T[i][j]
             if f and i != r:
                 g = math.gcd(piv, f)
                 T[i], den[i] = _combine(T[i], den[i], piv // g, f // g, row_r, nz)
         self.basis[r] = j
-        return nz
 
-    def _iterate(self, D, dD):
-        """Pivot until no column has a negative reduced cost; the
-        entering column is the first one that does (Bland).  ``D`` is
-        the reduced-cost row, ints over ``dD``.  Returns the objective,
-        -D[n] / dD, or None when it is unbounded below."""
+    def _iterate(self):
+        """Pivot until no column has a negative reduced cost in the last
+        row held; the entering column is the first one that does
+        (Bland).  Returns the objective, minus that row's rhs entry, or
+        None when it is unbounded below."""
         T, den, basis, n = self.T, self.den, self.basis, self.n
         while True:
+            D = T[-1]
             for j in range(n):
                 if D[j] < 0:
                     break
             else:
-                return Q(-D[n], dD)
+                return Q(-D[n], den[-1])
 
             # ratio test: the least T[i][n] / T[i][j] over rows with
             # T[i][j] > 0, ties to the smallest leaving index (Bland)
@@ -301,12 +302,7 @@ class _Simplex:
                 return None
 
             self.pivots += 1
-            nz = self._pivot(leaving_row, j)
-            # update the reduced-cost row
-            f = D[j]
-            piv = den[leaving_row]
-            g = math.gcd(piv, f)
-            D, dD = _combine(D, dD, piv // g, f // g, T[leaving_row], nz)
+            self._pivot(leaving_row, j)
 
 
 def _verify_equalities(rows, rhs, values):
@@ -329,7 +325,7 @@ def _verified(lp: LinearProgram, values, obj, pivots, *,
     for v in values:
         if v < 0:
             raise SolverError("witness violates nonnegativity")
-        if integral and not _is_integer(v):
+        if integral and not is_integral(v):
             raise SolverError("integral witness has a fractional entry")
     if sum((cj * v for cj, v in zip(lp.objective, values) if cj and v), Q(0)) != obj:
         raise SolverError("objective mismatch")
@@ -367,10 +363,6 @@ def _branch(bounds, j, sign, v):
     """``bounds`` with x_j's bound on side ``sign`` set to v (a branch
     only ever tightens it, so the old row is dropped)."""
     return tuple(b for b in bounds if b[:2] != (j, sign)) + ((j, sign, v),)
-
-
-def _is_integer(v) -> bool:
-    return v.denominator == 1
 
 
 def solve_ilp(lp: LinearProgram, *,
@@ -423,7 +415,7 @@ def solve_ilp(lp: LinearProgram, *,
             continue
         frac_var, frac_dist = None, Q(0)
         for j, v in enumerate(values):
-            if _is_integer(v):
+            if is_integral(v):
                 continue
             f = v - math.floor(v)
             dist = min(f, 1 - f)

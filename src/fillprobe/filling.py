@@ -14,7 +14,6 @@ and never claim global exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import DEFAULT_VERTEX_CAP, Chain, TwoComplex, get_complex
 from .errors import NotABoundaryError, NotACycleError
@@ -28,11 +27,6 @@ RING_Z = "Z"
 
 STATUS_UPPER_BOUND = "upper-bound"
 STATUS_EXACT_WITHIN_BALL = "exact-within-ball"
-
-
-def l1_norm(chain: Chain):
-    """Sum of absolute values of the coefficients."""
-    return chain.l1()
 
 
 @dataclass(frozen=True)
@@ -62,12 +56,6 @@ class FillingCertificate:
                         for cell, c in sorted(self.witness.entries.items())},
             "witness_l1": qstr(self.witness.l1()),
         }
-
-
-@dataclass(frozen=True)
-class BoundaryCheck:
-    fillable: bool
-    witness: Optional[Chain] = None
 
 
 def _require_cycle(b: Chain, complex_: TwoComplex):
@@ -140,25 +128,12 @@ def _filling_program(b: Chain, complex_: TwoComplex):
     return LinearProgram.make(2 * nc, rows, rhs, objective)
 
 
-def _witness_chain(num_cells: int, witness: dict) -> Chain:
+def _witness_chain(witness: dict) -> Chain:
     entries: dict = {}
     for j, v in witness.items():
         cell, part = divmod(j, 2)
         entries[cell] = entries.get(cell, Q(0)) + (v if part == 0 else -v)
     return Chain(2, entries)
-
-
-def is_boundary(b: Chain, complex_: TwoComplex) -> BoundaryCheck:
-    """Whether d2 a = b has a solution within the ball; the witness is a
-    minimal rational filling.
-
-    A negative answer never certifies that b fails to bound in the full
-    complex; it only says no filling exists at this truncation.
-    """
-    try:
-        return BoundaryCheck(True, filling_norm_q(b, complex_).witness)
-    except NotABoundaryError:
-        return BoundaryCheck(False)
 
 
 def _certificate(b: Chain, complex_: TwoComplex, ring: str, value, witness: Chain,
@@ -175,7 +150,11 @@ def _certificate(b: Chain, complex_: TwoComplex, ring: str, value, witness: Chai
 
 
 def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
-    """Minimal l1 mass of a rational filling within the ball."""
+    """Minimal l1 mass of a rational filling within the ball.
+
+    Raises NotABoundaryError when b has no filling within the ball; that
+    never certifies that b fails to bound in the full complex.
+    """
     _require_cycle(b, complex_)
     if b.is_zero():
         return _certificate(b, complex_, RING_Q, Q(0), Chain(2, {}))
@@ -186,7 +165,7 @@ def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no filling within this ball")
     complex_.relaxations[frozenset(b.entries.items())] = result
-    witness = _witness_chain(complex_.num_cells, result.witness)
+    witness = _witness_chain(result.witness)
     return _certificate(b, complex_, RING_Q, result.value, witness)
 
 
@@ -209,7 +188,7 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         result = solve_ilp(lp, node_budget=node_budget, root=result)
     if result.status is LPStatus.INFEASIBLE:
         raise NotABoundaryError("no integral filling within this ball")
-    witness = _witness_chain(complex_.num_cells, result.witness)
+    witness = _witness_chain(result.witness)
     return _certificate(b, complex_, RING_Z, result.value, witness)
 
 

@@ -53,10 +53,6 @@ def shortlex_key(word):
     return (len(word), tuple(map(letter_rank, word)))
 
 
-def shortlex_less(u, v) -> bool:
-    return shortlex_key(u) < shortlex_key(v)
-
-
 def word_to_text(word, generators) -> str:
     """Render a word in the external syntax: 'a b^-1 c'.  Empty word is ''."""
     parts = []

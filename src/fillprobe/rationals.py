@@ -2,25 +2,18 @@
 
 Uses gmpy2.mpq when available (markedly faster in solver inner loops),
 falling back to fractions.Fraction.  Everything downstream treats the
-chosen type as opaque: construct with Q(), serialize with qstr().
+chosen type as opaque: ``Q`` is that type itself, so construct with
+Q(num, den), and serialize with qstr().
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 try:
-    from gmpy2 import mpq as _mpq
-
-    def Q(num=0, den=1):
-        return _mpq(num, den)
-
-    RationalType = type(_mpq(0))
+    from gmpy2 import mpq as Q
 except ImportError:  # no gmpy2: Fraction is the backend in use
-    def Q(num=0, den=1):
-        return Fraction(num, den)
+    from fractions import Fraction as Q
 
-    RationalType = Fraction
+RationalType = type(Q(0))
 
 
 def qstr(x) -> str:

@@ -9,7 +9,6 @@ from fillprobe.complexes import (
     Chain,
     attach_cells,
     build_ball,
-    boundary_matrices,
     complex_from_json,
     complex_to_json,
     d1_composed_with_d2_is_zero,
@@ -216,10 +215,10 @@ def test_boundary_product_zero(z2, surface):
 def test_boundary_matrices_shapes(z2):
     presentation, rws = z2
     complex_ = attach_cells(build_ball(presentation, rws, 2), presentation)
-    d1, d2 = boundary_matrices(complex_)
-    assert len(d1) == complex_.ball.num_edges
-    assert len(d2) == complex_.num_cells
-    for col in d2:
+    for e in range(complex_.ball.num_edges):
+        assert sorted(complex_.ball.d1_column(e).values()) == [-1, 1]
+    assert len(complex_.d2) == complex_.num_cells
+    for col in complex_.d2:
         assert sorted(abs(c) for c in col.values()) == [1, 1, 1, 1]
 
 

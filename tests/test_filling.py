@@ -10,8 +10,6 @@ from fillprobe.exactlp import LinearProgram, LPStatus, solve_lp
 from fillprobe.filling import (
     filling_norm_q,
     filling_norm_z,
-    is_boundary,
-    l1_norm,
     norm_with_escalation,
 )
 from fillprobe.catalog import load
@@ -33,8 +31,8 @@ def z2_square(z2, z2_r2):
 
 
 def test_l1_norm_values():
-    assert l1_norm(Chain(1, {})) == 0
-    assert l1_norm(Chain(1, {0: Q(3, 2), 1: Q(-1, 2)})) == 2
+    assert Chain(1, {}).l1() == 0
+    assert Chain(1, {0: Q(3, 2), 1: Q(-1, 2)}).l1() == 2
 
 
 @given(st.integers(-40, 40), st.integers(1, 7))
@@ -42,23 +40,21 @@ def test_l1_norm_values():
 def test_l1_homogeneity(num, den):
     chain = Chain(1, {0: Q(2, 3), 4: Q(-5), 9: Q(1, 7)})
     r = Q(num, den)
-    assert l1_norm(chain.scaled(r)) == abs(r) * l1_norm(chain)
+    assert chain.scaled(r).l1() == abs(r) * chain.l1()
 
 
 def test_is_boundary_unit_square(z2_r2, z2_square):
-    check = is_boundary(z2_square, z2_r2)
-    assert check.fillable
-    assert (z2_r2.apply_d2(check.witness) + (-z2_square)).is_zero()
+    witness = filling_norm_q(z2_square, z2_r2).witness
+    assert (z2_r2.apply_d2(witness) + (-z2_square)).is_zero()
 
 
 def test_is_boundary_zero_chain(z2_r2):
-    check = is_boundary(Chain(1, {}), z2_r2)
-    assert check.fillable and check.witness.is_zero()
+    assert filling_norm_q(Chain(1, {}), z2_r2).witness.is_zero()
 
 
 def test_is_boundary_rejects_non_cycle(z2_r2):
     with pytest.raises(NotACycleError):
-        is_boundary(Chain(1, {0: Q(1)}), z2_r2)
+        filling_norm_q(Chain(1, {0: Q(1)}), z2_r2)
 
 
 def test_unit_square_norms(z2_r2, z2_square):
@@ -221,7 +217,6 @@ def test_is_boundary_no_within_ball_without_cells():
     complex_ = attach_cells(build_ball(p, rws, 2), p)
     assert complex_.num_cells == 0
     loop = word_to_edge_chain(complex_.ball, p.word("a b a^-1 b^-1"))
-    assert not is_boundary(loop, complex_).fillable
     with pytest.raises(NotABoundaryError):
         filling_norm_q(loop, complex_)
 
@@ -421,5 +416,5 @@ def test_forest_rows_dropped_keep_status_and_value(ball_key, steps1, steps2,
     if got.status is LPStatus.OPTIMAL:
         assert got.value == want.value
         # the dropped rows hold at the reduced program's optimum
-        witness = filling._witness_chain(complex_.num_cells, got.witness)
+        witness = filling._witness_chain(got.witness)
         assert (complex_.apply_d2(witness) + (-b)).is_zero()

@@ -9,7 +9,7 @@ from fillprobe.presentation import (
     inverse_word,
     parse_presentation,
     parse_word,
-    shortlex_less,
+    shortlex_key,
     word_to_text,
 )
 
@@ -107,9 +107,9 @@ def test_word_text_roundtrip(w):
 
 
 def test_shortlex_orders_inverse_after_generator():
-    assert shortlex_less((1,), (-1,))
-    assert shortlex_less((-1,), (2,))
-    assert shortlex_less((2,), (1, 1))
+    assert shortlex_key((1,)) < shortlex_key((-1,))
+    assert shortlex_key((-1,)) < shortlex_key((2,))
+    assert shortlex_key((2,)) < shortlex_key((1, 1))
 
 
 def test_make_validates_letter_range():
