@@ -4,15 +4,18 @@ Machine-readable output only: JSON reports and CSV tables, rationals
 always serialized as num/den strings.  Identical configuration and seed
 produce byte-identical files.
 
-Exit codes: 0 success, 2 presentation/syntax problem, 3 fill word not
-closed, 4 no filling within the allowed balls, 5 resource caps or an
-incomplete rewriting system (partial reports are flagged, never silently
+Exit codes: 0 success, 2 presentation/syntax problem or a file that
+cannot be read or written (an ``OSError``), 3 fill word not closed, 4 no
+filling within the allowed balls, 5 resource caps or an incomplete
+rewriting system (partial reports are flagged, never silently
 truncated).
 
 Every report, error reports included, leaves through ``_emit``; ``main``
 turns an error that a command raises into its report and exit code.
 With ``--out PREFIX`` every run writes ``PREFIX.json``, and ``PREFIX.csv``
 when its report has a table; otherwise it removes a stale ``PREFIX.csv``.
+When those files cannot be written, the error report goes to stdout
+alone.
 """
 
 from __future__ import annotations
@@ -205,8 +208,9 @@ def _config_echo(args) -> dict:
 
 
 def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
-    """Print to stdout and, when --out is given, write the report files:
-    always PREFIX.json, and PREFIX.csv exactly when there is a table."""
+    """When --out is given, write the report files: always PREFIX.json,
+    and PREFIX.csv exactly when there is a table; then print to stdout,
+    so a report whose files fail to write is never printed."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     csv_text = None
     if csv_rows is not None:
@@ -215,10 +219,6 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
         csv_text = buf.getvalue()
-    if args.format == "csv" and csv_text is not None:
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(text)
     if args.out:
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -228,6 +228,10 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
         else:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(args.out + ".csv")
+    if args.format == "csv" and csv_text is not None:
+        sys.stdout.write(csv_text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_parse(args) -> int:
@@ -430,18 +434,21 @@ def main(argv=None) -> int:
         return args.run(args)
     except _Refusal as exc:
         report, code = exc.args
-        _emit(args, report)
-        return code
-    except ValueError as exc:
-        _emit(args, {"error": str(exc)})
-        return EXIT_SYNTAX
+    except (ValueError, OSError) as exc:
+        report, code = {"error": str(exc)}, EXIT_SYNTAX
     except PresentationSyntaxError as exc:
-        _emit(args, {"valid": False, "error": str(exc),
-                     "line": exc.line, "column": exc.column})
-        return EXIT_SYNTAX
+        report, code = {"valid": False, "error": str(exc),
+                        "line": exc.line, "column": exc.column}, EXIT_SYNTAX
     except FillprobeError as exc:
+        report, code = {"error": str(exc)}, EXIT_RESOURCE
+    try:
+        _emit(args, report)
+    except OSError as exc:
+        # the --out write itself failed; its error goes to stdout alone
+        args.out = None
         _emit(args, {"error": str(exc)})
-        return EXIT_RESOURCE
+        code = EXIT_SYNTAX
+    return code
 
 
 if __name__ == "__main__":

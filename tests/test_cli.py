@@ -219,6 +219,24 @@ def test_out_files_hold_only_the_latest_report(tmp_path, capsys, argv, expected)
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("argv, out_written", [
+    (["--out", "{missing}/p", "parse", "Z2"], False),
+    (["--out", "{tmp}/p", "ball", "Z2", "--radius", "1",
+      "--export", "{missing}/b.json"], True),
+    (["--out", "{tmp}/p", "parse", "{tmp}"], True),
+], ids=["out-dir-missing", "export-dir-missing", "source-is-a-directory"])
+def test_os_error_gives_one_error_report_exit_2(tmp_path, capsys, argv, out_written):
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    # one report on stdout, and no success report before it
+    assert list(json.loads(out)) == ["error"]
+    if out_written:
+        assert (tmp_path / "p.json").read_text() == out
+    else:
+        assert "p.json" in json.loads(out)["error"]
+
+
 def test_fv_csv_stdout_format(capsys):
     code, out = run_cli(capsys, "--format", "csv", "fv", "Z2", "--k-max", "4")
     assert code == 0
