@@ -15,7 +15,9 @@ turns an error that a command raises into its report and exit code.
 With ``--out PREFIX`` every run writes ``PREFIX.json``, and ``PREFIX.csv``
 when its report has a table; otherwise it removes a stale ``PREFIX.csv``.
 When those files cannot be written, the error report goes to stdout
-alone.
+alone.  A command line that argparse rejects exits 2 with argparse's
+usage and message on stderr; its error report goes to the ``--out``
+files only.
 """
 
 from __future__ import annotations
@@ -64,8 +66,22 @@ EXIT_NOT_BOUNDARY = 4
 EXIT_RESOURCE = 5
 
 
+class _Rejection(Exception):
+    """A command line that argparse rejected; its usage and this message
+    are already on stderr."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # subparsers are made of the parent's class, so they reject this way too
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit:
+            raise _Rejection(message) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fillprobe",
         description="filling norms and growth probes on Cayley 2-complexes")
     parser.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
@@ -207,10 +223,11 @@ def _config_echo(args) -> dict:
     }
 
 
-def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
+def _emit(args, report: dict, csv_rows=None, csv_header=None, *, echo=True) -> None:
     """When --out is given, write the report files: always PREFIX.json,
-    and PREFIX.csv exactly when there is a table; then print to stdout,
-    so a report whose files fail to write is never printed."""
+    and PREFIX.csv exactly when there is a table; then, with ``echo``,
+    print to stdout, so a report whose files fail to write is never
+    printed."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     csv_text = None
     if csv_rows is not None:
@@ -228,6 +245,8 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None) -> None:
         else:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(args.out + ".csv")
+    if not echo:
+        return
     if args.format == "csv" and csv_text is not None:
         sys.stdout.write(csv_text)
     else:
@@ -425,13 +444,19 @@ def _cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # a rejected command line leaves the options parsed before the error,
+    # --out included, in this namespace
+    args, echo = argparse.Namespace(), True
     try:
+        build_parser().parse_args(argv, namespace=args)
         for flag in ("vertex_cap", "node_budget", "walk_cap",
                      "kb_max_rules", "kb_max_len"):
             if getattr(args, flag) <= 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be positive")
         return args.run(args)
+    except _Rejection as exc:
+        # argparse has printed the usage, so stdout stays empty
+        report, code, echo = {"error": str(exc)}, EXIT_SYNTAX, False
     except _Refusal as exc:
         report, code = exc.args
     except (ValueError, OSError) as exc:
@@ -442,7 +467,7 @@ def main(argv=None) -> int:
     except FillprobeError as exc:
         report, code = {"error": str(exc)}, EXIT_RESOURCE
     try:
-        _emit(args, report)
+        _emit(args, report, echo=echo)
     except OSError as exc:
         # the --out write itself failed; its error goes to stdout alone
         args.out = None

@@ -6,11 +6,12 @@ is a shortest word for its element, so the depth is also the word's
 length.  Each vertex also keeps its state in the rewriting system's
 index automaton, and a move on letter x looks up the state after x: if
 no rewrite applies, the neighbor's normal form is the word with x
-appended, and only a move that fires a rewrite reduces.  Cells are relator
-loops based at ball vertices, kept only when the whole loop stays
-inside the ball; the resulting column of the 2-boundary records signed
-edge traversals.  Vertex, edge and cell indices are stable under radius
-growth: enlarging the ball only appends.
+appended, and only a move that fires a rewrite reduces.  So a vertex on
+the boundary layer tries only the letters that fire from its state.
+Cells are relator loops based at ball vertices, kept only when the whole
+loop stays inside the ball; the resulting column of the 2-boundary
+records signed edge traversals.  Vertex, edge and cell indices are
+stable under radius growth: enlarging the ball only appends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import IncompleteSystemError, PresentationSyntaxError, ResourceLimitError
-from .presentation import GroupPresentation, Word, parse_word, word_to_text
+from .presentation import GroupPresentation, Word, parse_word
 from .rationals import Q
 from .rewriting import RewritingSystem
 
@@ -111,51 +112,42 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                radius: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> CayleyBall:
     """BFS ball of the given radius around the identity.
 
-    Every vertex word is irreducible, and each vertex keeps the state
-    its word reaches in ``rws.index_automaton``.  A move on x whose next
-    state is not terminal fires no rewrite, so the neighbor's normal
-    form is ``word + (x,)``, one letter longer: from the boundary layer
-    it lies outside the ball and is skipped without building the word.
-    Only a move into a terminal state reduces, as ``rws.reduce((x,),
-    word)``.  Each vertex's depth is its normal form's length.  Requires
-    a confluent rewriting system; aborts with a resource error if the
-    vertex cap is exceeded.
+    Each vertex keeps the state its irreducible word reaches in
+    ``rws.index_automaton``.  A move on x into a non-terminal state
+    fires no rewrite: the neighbor's normal form is ``word + (x,)``, one
+    letter longer.  Only a move into a terminal state reduces, as
+    ``rws.reduce((x,), word)``, so a boundary-layer vertex (depth ==
+    radius) tries only its state's firing letters.  Each edge is put in
+    the bucket of its layer (the larger depth of its ends) when its link
+    is made; edges are ordered by (layer, source, generator, target).
+    Requires a confluent rewriting system; aborts with a resource error
+    if the vertex cap is exceeded.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     ngens = presentation.num_generators
-    letters = [g for g in range(1, ngens + 1)] + [-g for g in range(1, ngens + 1)]
-    automaton = rws.index_automaton
+    letters = [*range(1, ngens + 1), *range(-1, -ngens - 1, -1)]
+    automaton, reduce = rws.index_automaton, rws.reduce
     goto, terminal = automaton.goto, automaton.terminal
+    firing = [[x for x in letters if terminal[row[x]]] for row in goto]
 
     root: Word = ()
-    vertices = [root]
-    depth = [0]
-    index = {root: 0}
-    neighbors = [dict()]
-    state = [0]
-    # vertices are appended in BFS order, so this visits them by depth;
-    # a boundary-layer vertex only links to vertices already in the ball,
-    # which by then are all found.  The radius-0 ball has no edges, not
-    # even loops.
-    v = 0
-    while radius > 0 and v < len(vertices):
-        word = vertices[v]
+    vertices, depth, index, neighbors, state = [root], [0], {root: 0}, [{}], [0]
+    layers = [[] for _ in range(radius + 1)]
+    # the loop also visits the vertices appended while it runs, so by
+    # depth, and a boundary-layer vertex links only to vertices already
+    # found.  The radius-0 ball has no edges, not even loops.
+    for v, word in enumerate(vertices if radius else ()):
+        links, d = neighbors[v], depth[v]
+        inner = d < radius
         row = goto[state[v]]
-        inner = depth[v] < radius
-        for x in letters:
-            if x in neighbors[v]:
+        for x in letters if inner else firing[state[v]]:
+            if x in links:
                 continue
             s = row[x]
-            fires = terminal[s]
-            if fires:
-                target = rws.reduce((x,), word)
-            elif inner:
-                target = word + (x,)
-            else:
-                continue
+            target = reduce((x,), word) if terminal[s] else word + (x,)
             t = index.get(target)
             if t is None:
                 if not inner:
@@ -165,22 +157,15 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                     raise ResourceLimitError(
                         f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
                 vertices.append(target)
-                depth.append(depth[v] + 1)
+                depth.append(d + 1)
                 index[target] = t
-                neighbors.append(dict())
-                state.append(automaton.scan(target) if fires else s)
-            neighbors[v][x] = t
+                neighbors.append({})
+                state.append(automaton.scan(target) if terminal[s] else s)
+            links[x] = t
             neighbors[t][-x] = v
-        v += 1
-
-    raw_edges = []
-    for v in range(len(vertices)):
-        for g in range(1, ngens + 1):
-            t = neighbors[v].get(g)
-            if t is not None:
-                raw_edges.append((max(depth[v], depth[t]), v, g, t))
-    raw_edges.sort()
-    edges = [(v, g, t) for _, v, g, t in raw_edges]
+            layer = depth[t] if depth[t] > d else d
+            layers[layer].append((v, x, t) if x > 0 else (t, -x, v))
+    edges = [e for bucket in layers for e in sorted(bucket)]
     return CayleyBall(radius, vertices, depth, edges, index, neighbors)
 
 
@@ -222,21 +207,20 @@ class TwoComplex:
 def _walk(ball: CayleyBall, start: int, word) -> tuple[dict, int] | None:
     """Signed edge traversals (plain ints, zeros dropped) of the walk
     spelled by ``word`` from ``start``, and its end vertex; None if some
-    prefix leaves the ball."""
-    coeffs: dict = {}
-    cur = start
+    prefix leaves the ball.  The walk follows the neighbor links first,
+    so edge ids are looked up only for a walk that stays in the ball."""
+    neighbors = ball.neighbors
+    path = [start]
     for x in word:
-        nxt = ball.neighbors[cur].get(x)
+        nxt = neighbors[path[-1]].get(x)
         if nxt is None:
             return None
-        if x > 0:
-            e = ball.edge_index[(cur, x)]
-            coeffs[e] = coeffs.get(e, 0) + 1
-        else:
-            e = ball.edge_index[(nxt, -x)]
-            coeffs[e] = coeffs.get(e, 0) - 1
-        cur = nxt
-    return {e: c for e, c in coeffs.items() if c}, cur
+        path.append(nxt)
+    edge_index, coeffs = ball.edge_index, {}
+    for x, s, t in zip(word, path, path[1:]):
+        e = edge_index[(s, x)] if x > 0 else edge_index[(t, -x)]
+        coeffs[e] = coeffs.get(e, 0) + (1 if x > 0 else -1)
+    return {e: c for e, c in coeffs.items() if c}, path[-1]
 
 
 def _sign_canonical(col: dict):
@@ -354,20 +338,36 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
 
 
 def complex_to_json(complex_: TwoComplex) -> str:
+    """Coordinate-form JSON of the complex.  ``d1`` is read off the edges
+    (s -> t has -1 at s and +1 at t; a loop has none).  A vertex's text,
+    as ``word_to_text`` writes it, extends that of its word minus the
+    last letter, an earlier vertex since normal forms are prefix-closed:
+    the letter raises the last token's power or starts a new token."""
     ball = complex_.ball
     gens = complex_.presentation.generators
     d1_coords = []
-    for e in range(ball.num_edges):
-        for v, c in sorted(ball.d1_column(e).items()):
-            d1_coords.append([v, e, c, 1])
-    d2_coords = []
-    for ci, col in enumerate(complex_.d2):
-        for e, c in sorted(col.items()):
-            d2_coords.append([e, ci, c, 1])
+    for e, (s, _, t) in enumerate(ball.edges):
+        if s < t:
+            d1_coords += ([s, e, -1, 1], [t, e, 1, 1])
+        elif s > t:
+            d1_coords += ([t, e, 1, 1], [s, e, -1, 1])
+    d2_coords = [[e, ci, c, 1] for ci, col in enumerate(complex_.d2)
+                 for e, c in sorted(col.items())]
+    # per vertex: its text, that text before its last token, its last run
+    texts, heads, runs = [""], [""], [0]
+    for w in ball.vertices[1:]:
+        p, x = ball.index[w[:-1]], w[-1]
+        run = runs[p] + 1 if len(w) > 1 and w[-2] == x else 1
+        head = heads[p] if run > 1 else texts[p]
+        power = run if x > 0 else -run
+        token = gens[x - 1] if power == 1 else f"{gens[abs(x) - 1]}^{power}"
+        texts.append(f"{head} {token}" if head else token)
+        heads.append(head)
+        runs.append(run)
     payload = {
         "radius": ball.radius,
         "generators": list(gens),
-        "vertices": [word_to_text(w, gens) for w in ball.vertices],
+        "vertices": texts,
         "depth": list(ball.depth),
         "edges": [list(e) for e in ball.edges],
         "cells": [list(c) for c in complex_.cells],

@@ -84,10 +84,6 @@ class LinearProgram:
         object.__setattr__(self, "rhs", tuple(_exact(v) for v in self.rhs))
         object.__setattr__(self, "objective", tuple(_exact(v) for v in self.objective))
 
-    @classmethod
-    def make(cls, num_vars, rows, rhs, objective) -> "LinearProgram":
-        return cls(num_vars, tuple(rows), tuple(rhs), tuple(objective))
-
     def to_json(self) -> str:
         coords = []
         for i, row in enumerate(self.rows):

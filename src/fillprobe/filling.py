@@ -125,7 +125,7 @@ def _filling_program(b: Chain, complex_: TwoComplex):
         if i is not None:
             rhs[i] = coeff
     objective = [1] * (2 * nc)
-    return LinearProgram.make(2 * nc, rows, rhs, objective)
+    return LinearProgram(2 * nc, rows, rhs, objective)
 
 
 def _witness_chain(witness: dict) -> Chain:

@@ -379,12 +379,12 @@ def test_criterion_8_solver_soundness(monkeypatch):
             rows.append({j: Q(rng.randint(-5, 5)) for j in cols})
         x0 = [Q(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
         rhs = [sum((a * x0[j] for j, a in row.items()), Q(0)) for row in rows]
-        problem = LinearProgram.make(n, rows, rhs,
-                                     [Q(rng.randint(0, 6)) for _ in range(n)])
+        problem = LinearProgram(n, rows, rhs,
+                                [Q(rng.randint(0, 6)) for _ in range(n)])
         base = solve_lp(problem)
         assert base.optimal
-        scaled = LinearProgram.make(n, rows, [lam * v for v in rhs],
-                                    problem.objective)
+        scaled = LinearProgram(n, rows, [lam * v for v in rhs],
+                               problem.objective)
         scaled_result = solve_lp(scaled)
         assert scaled_result.optimal
         assert scaled_result.value == lam * base.value

@@ -219,6 +219,21 @@ def test_out_files_hold_only_the_latest_report(tmp_path, capsys, argv, expected)
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_argparse_rejection_replaces_out_files_with_error_report(tmp_path, capsys):
+    (tmp_path / "p.json").write_text("{}\n")
+    (tmp_path / "p.csv").write_text("k,value,radius,status\n")
+    code = main(["--out", str(tmp_path / "p"), "fv", "Z2", "--k-max", "x"])
+    captured = capsys.readouterr()
+    message = "argument --k-max: invalid int value: 'x'"
+    # argparse's usage and message go to stderr, and stdout stays empty
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fillprobe fv ")
+    assert captured.err.endswith(f"fillprobe fv: error: {message}\n")
+    assert json.loads((tmp_path / "p.json").read_text()) == {"error": message}
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("argv, out_written", [
     (["--out", "{missing}/p", "parse", "Z2"], False),
     (["--out", "{tmp}/p", "ball", "Z2", "--radius", "1",

@@ -18,7 +18,11 @@ from fillprobe.complexes import (
     word_to_edge_chain,
 )
 from fillprobe.errors import IncompleteSystemError, ResourceLimitError
-from fillprobe.presentation import parse_presentation, presentation_rules_from_json
+from fillprobe.presentation import (
+    parse_presentation,
+    presentation_rules_from_json,
+    word_to_text,
+)
 from fillprobe.rationals import Q
 from fillprobe.rewriting import knuth_bendix_bounded, system_from_rules
 
@@ -166,16 +170,51 @@ _S3_RULES_FILE = json.dumps({
               ["b a b", "a b a"]]})
 
 
-@pytest.mark.parametrize(
-    "source, radius",
-    [*_COMPLEX_SHA256, ("F1", 8), (_S3_RULES_FILE, 2), (_S3_RULES_FILE, 4)],
-    ids=lambda v: {_TRIVIAL_A: "a,b|a", _S3_RULES_FILE: "S3-rules-file"}.get(v))
+_BALL_CASES = [*_COMPLEX_SHA256, ("F1", 8), (_S3_RULES_FILE, 2), (_S3_RULES_FILE, 4)]
+
+
+def _case_id(value):
+    return {_TRIVIAL_A: "a,b|a", _S3_RULES_FILE: "S3-rules-file"}.get(value)
+
+
+@pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
 def test_ball_matches_reference_ball(source, radius):
     presentation, rws = _system(source)
     assert rws.confluent
     ball = build_ball(presentation, rws, radius)
+    reference = _reference_ball(presentation, rws, radius)
     assert (ball.vertices, ball.depth, ball.edges, ball.index,
-            ball.neighbors) == _reference_ball(presentation, rws, radius)
+            ball.neighbors) == reference
+    # the links are made in the same order, not only to the same vertices
+    assert ([list(d.items()) for d in ball.neighbors]
+            == [list(d.items()) for d in reference[4]])
+
+
+@pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
+def test_exported_vertices_are_word_texts(source, radius):
+    # complex_to_json builds each vertex's text from its parent's
+    presentation, rws = _system(source)
+    ball = build_ball(presentation, rws, radius)
+    exported = json.loads(complex_to_json(attach_cells(ball, presentation)))
+    assert exported["vertices"] == [
+        word_to_text(w, presentation.generators) for w in ball.vertices]
+
+
+@pytest.mark.parametrize("source, radius", list(_COMPLEX_SHA256), ids=_case_id)
+def test_json_export_survives_a_load(source, radius):
+    presentation, rws = _system(source)
+    text = complex_to_json(attach_cells(build_ball(presentation, rws, radius),
+                                        presentation))
+    assert complex_to_json(complex_from_json(text, presentation)) == text
+
+
+@pytest.mark.parametrize("source, radius", [("S2", 5), ("F2", 7)])
+def test_vertex_cap_trips_at_the_vertex_count(source, radius):
+    presentation, rws = load(source)
+    n = build_ball(presentation, rws, radius).num_vertices
+    assert build_ball(presentation, rws, radius, vertex_cap=n).num_vertices == n
+    with pytest.raises(ResourceLimitError):
+        build_ball(presentation, rws, radius, vertex_cap=n - 1)
 
 
 def test_ball_requires_confluence():

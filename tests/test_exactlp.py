@@ -19,7 +19,7 @@ from fillprobe.rationals import Q, RationalType
 
 
 def lp(num_vars, rows, rhs, objective):
-    return LinearProgram.make(num_vars, rows, rhs, objective)
+    return LinearProgram(num_vars, rows, rhs, objective)
 
 
 def test_single_variable_optimal():
@@ -289,7 +289,7 @@ def _random_feasible_lp(rng):
     x0 = [Q(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
     rhs = [sum((a * x0[j] for j, a in row.items()), Q(0)) for row in rows]
     objective = [Q(rng.randint(0, 6)) for _ in range(n)]
-    return LinearProgram.make(n, rows, rhs, objective)
+    return LinearProgram(n, rows, rhs, objective)
 
 
 def test_homogeneity_fifty_instances():
@@ -299,7 +299,7 @@ def test_homogeneity_fifty_instances():
         problem = _random_feasible_lp(rng)
         base = solve_lp(problem)
         assert base.optimal
-        scaled = LinearProgram.make(
+        scaled = LinearProgram(
             problem.num_vars, problem.rows,
             [lam * v for v in problem.rhs], problem.objective)
         scaled_result = solve_lp(scaled)
@@ -316,9 +316,9 @@ def test_homogeneity_hypothesis(num, den, scale_den):
                  [Q(num, den), Q(3, scale_den)], [1, 2, 1])
     base = solve_lp(problem)
     lam = Q(5, 7)
-    scaled = LinearProgram.make(3, problem.rows,
-                                [lam * v for v in problem.rhs],
-                                problem.objective)
+    scaled = LinearProgram(3, problem.rows,
+                           [lam * v for v in problem.rhs],
+                           problem.objective)
     other = solve_lp(scaled)
     assert base.status == other.status
     if base.optimal:

@@ -345,7 +345,7 @@ def _full_row_program(b, complex_):
     for e, coeff in b.entries.items():
         rhs[row_of[e]] = coeff
     objective = [1] * (2 * nc)
-    return LinearProgram.make(2 * nc, rows, rhs, objective)
+    return LinearProgram(2 * nc, rows, rhs, objective)
 
 
 # small balls with parallel edges and self-loops (a | a^3, a, b | a)
