@@ -17,7 +17,7 @@ when its report has a table; otherwise it removes a stale ``PREFIX.csv``.
 When those files cannot be written, the error report goes to stdout
 alone.  A command line that argparse rejects exits 2 with argparse's
 usage and message on stderr; its error report goes to the ``--out``
-files only.
+files only, wherever ``--out`` stands on that line.
 """
 
 from __future__ import annotations
@@ -443,9 +443,19 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _out_prefix(argv):
+    """The ``--out`` prefix on a command line, read without the rest of
+    it: argparse stops at the first argument it rejects, which may come
+    before ``--out``."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--out")
+    try:
+        return parser.parse_known_args(argv)[0].out
+    except argparse.ArgumentError:
+        return None
+
+
 def main(argv=None) -> int:
-    # a rejected command line leaves the options parsed before the error,
-    # --out included, in this namespace
     args, echo = argparse.Namespace(), True
     try:
         build_parser().parse_args(argv, namespace=args)
@@ -456,6 +466,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except _Rejection as exc:
         # argparse has printed the usage, so stdout stays empty
+        args.out = _out_prefix(argv)
         report, code, echo = {"error": str(exc)}, EXIT_SYNTAX, False
     except _Refusal as exc:
         report, code = exc.args

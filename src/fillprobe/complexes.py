@@ -12,6 +12,14 @@ Cells are relator loops based at ball vertices, kept only when the whole
 loop stays inside the ball; the resulting column of the 2-boundary
 records signed edge traversals.  Vertex, edge and cell indices are
 stable under radius growth: enlarging the ball only appends.
+
+A ball's links are one flat list with a row of 2n + 1 slots per vertex
+(n generators), not a container per vertex.  A dict per vertex takes
+about as much memory as the rest of the ball together, and a list per
+vertex is one more object for the garbage collector to track on every
+collection; it stops tracking a dict that holds only ints, but never a
+list.  Edge ids are found by bisection in the sorted edge list, so
+there is no (source, generator) -> edge id dict either.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import IncompleteSystemError, PresentationSyntaxError, ResourceLimitError
@@ -71,19 +80,25 @@ class Chain:
 
 @dataclass
 class CayleyBall:
-    """Truncated Cayley graph: vertex 0 is the identity."""
+    """Truncated Cayley graph: vertex 0 is the identity.
+
+    ``links`` has ``span = 2 * ngens + 1`` slots per vertex, as a row of
+    ``IndexAutomaton.goto`` has: vertex v's neighbor along the signed
+    letter x sits at ``v * span + ngens + x``, and a move that leaves
+    the ball (and the unused slot of x = 0) holds None.  Edges are
+    ordered by (layer, source, generator, target), where an edge's layer
+    is the larger depth of its ends, and the layer-L edges are
+    ``edges[starts[L]:starts[L + 1]]``.
+    """
 
     radius: int
+    ngens: int
     vertices: list            # normal-form words
     depth: list               # BFS depth per vertex
     edges: list               # (source, generator, target) triples
     index: dict               # word -> vertex id
-    neighbors: list           # per vertex: {signed letter: vertex id}
-    edge_index: dict = field(default=None)
-
-    def __post_init__(self):
-        if self.edge_index is None:
-            self.edge_index = {(s, g): i for i, (s, g, _) in enumerate(self.edges)}
+    links: list               # vertex id or None per (vertex, signed letter)
+    starts: list              # first edge id per layer, radius + 2 entries
 
     @property
     def num_vertices(self) -> int:
@@ -92,6 +107,13 @@ class CayleyBall:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    def edge_id(self, s: int, g: int, t: int) -> int:
+        """Id of the edge (s, g, t), which must be in the ball."""
+        depth = self.depth
+        layer = depth[s] if depth[s] > depth[t] else depth[t]
+        return bisect_left(self.edges, (s, g, t),
+                           self.starts[layer], self.starts[layer + 1])
 
     def d1_column(self, edge_id: int) -> dict:
         s, _, t = self.edges[edge_id]
@@ -120,8 +142,9 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     radius) tries only its state's firing letters.  Each edge is put in
     the bucket of its layer (the larger depth of its ends) when its link
     is made; edges are ordered by (layer, source, generator, target).
-    Requires a confluent rewriting system; aborts with a resource error
-    if the vertex cap is exceeded.
+    Each new vertex appends a blank row to the links.  Requires a
+    confluent rewriting system; aborts with a resource error if the
+    vertex cap is exceeded.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
@@ -134,17 +157,19 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     firing = [[x for x in letters if terminal[row[x]]] for row in goto]
 
     root: Word = ()
-    vertices, depth, index, neighbors, state = [root], [0], {root: 0}, [{}], [0]
+    span = 2 * ngens + 1
+    blank = [None] * span
+    vertices, depth, index, links, state = [root], [0], {root: 0}, blank.copy(), [0]
     layers = [[] for _ in range(radius + 1)]
     # the loop also visits the vertices appended while it runs, so by
     # depth, and a boundary-layer vertex links only to vertices already
     # found.  The radius-0 ball has no edges, not even loops.
     for v, word in enumerate(vertices if radius else ()):
-        links, d = neighbors[v], depth[v]
+        base, d = v * span + ngens, depth[v]
         inner = d < radius
         row = goto[state[v]]
         for x in letters if inner else firing[state[v]]:
-            if x in links:
+            if links[base + x] is not None:
                 continue
             s = row[x]
             target = reduce((x,), word) if terminal[s] else word + (x,)
@@ -159,14 +184,18 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                 vertices.append(target)
                 depth.append(d + 1)
                 index[target] = t
-                neighbors.append({})
+                links += blank
                 state.append(automaton.scan(target) if terminal[s] else s)
-            links[x] = t
-            neighbors[t][-x] = v
+            links[base + x] = t
+            links[t * span + ngens - x] = v
             layer = depth[t] if depth[t] > d else d
             layers[layer].append((v, x, t) if x > 0 else (t, -x, v))
-    edges = [e for bucket in layers for e in sorted(bucket)]
-    return CayleyBall(radius, vertices, depth, edges, index, neighbors)
+    edges, starts = [], [0]
+    for bucket in layers:
+        bucket.sort()
+        edges += bucket
+        starts.append(len(edges))
+    return CayleyBall(radius, ngens, vertices, depth, edges, index, links, starts)
 
 
 @dataclass
@@ -207,18 +236,23 @@ class TwoComplex:
 def _walk(ball: CayleyBall, start: int, word) -> tuple[dict, int] | None:
     """Signed edge traversals (plain ints, zeros dropped) of the walk
     spelled by ``word`` from ``start``, and its end vertex; None if some
-    prefix leaves the ball.  The walk follows the neighbor links first,
-    so edge ids are looked up only for a walk that stays in the ball."""
-    neighbors = ball.neighbors
-    path = [start]
+    prefix leaves the ball; ValueError for a letter outside
+    +-1..+-ngens.  The walk follows the links first, so edge ids are
+    looked up only for a walk that stays in the ball."""
+    links, ngens = ball.links, ball.ngens
+    span = 2 * ngens + 1
+    v, path = start, [start]
     for x in word:
-        nxt = neighbors[path[-1]].get(x)
-        if nxt is None:
+        # another letter would read a slot of some other vertex
+        if not -ngens <= x <= ngens or not x:
+            raise ValueError(f"letter {x} is outside +-1..+-{ngens}")
+        v = links[v * span + ngens + x]
+        if v is None:
             return None
-        path.append(nxt)
-    edge_index, coeffs = ball.edge_index, {}
+        path.append(v)
+    edge_id, coeffs = ball.edge_id, {}
     for x, s, t in zip(word, path, path[1:]):
-        e = edge_index[(s, x)] if x > 0 else edge_index[(t, -x)]
+        e = edge_id(s, x, t) if x > 0 else edge_id(t, -x, s)
         coeffs[e] = coeffs.get(e, 0) + (1 if x > 0 else -1)
     return {e: c for e, c in coeffs.items() if c}, path[-1]
 
@@ -340,10 +374,13 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
 def complex_to_json(complex_: TwoComplex) -> str:
     """Coordinate-form JSON of the complex.  ``d1`` is read off the edges
     (s -> t has -1 at s and +1 at t; a loop has none).  A vertex's text,
-    as ``word_to_text`` writes it, extends that of its word minus the
-    last letter, an earlier vertex since normal forms are prefix-closed:
-    the letter raises the last token's power or starts a new token."""
+    as ``word_to_text`` writes it, extends that of its parent, its link
+    on -x for its last letter x: the parent's word is its own minus x,
+    an earlier vertex since normal forms are prefix-closed.  The letter
+    raises the last token's power or starts a new token."""
     ball = complex_.ball
+    links, ngens = ball.links, ball.ngens
+    span = 2 * ngens + 1
     gens = complex_.presentation.generators
     d1_coords = []
     for e, (s, _, t) in enumerate(ball.edges):
@@ -355,8 +392,9 @@ def complex_to_json(complex_: TwoComplex) -> str:
                  for e, c in sorted(col.items())]
     # per vertex: its text, that text before its last token, its last run
     texts, heads, runs = [""], [""], [0]
-    for w in ball.vertices[1:]:
-        p, x = ball.index[w[:-1]], w[-1]
+    for v, w in enumerate(ball.vertices[1:], 1):
+        x = w[-1]
+        p = links[v * span + ngens - x]
         run = runs[p] + 1 if len(w) > 1 and w[-2] == x else 1
         head = heads[p] if run > 1 else texts[p]
         power = run if x > 0 else -run
@@ -381,8 +419,10 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     """Load ``complex_to_json`` output.  A file that is well-formed but
     inconsistent raises ValueError: a vertex word that does not parse, a
     depth other than its vertex word's length (normal forms are
-    geodesic), an edge or a d2 entry naming a missing vertex, edge or
-    cell, or d1 d2 != 0."""
+    geodesic), a vertex deeper than the radius, an edge or a d2 entry
+    naming a missing vertex, edge or cell, edges out of (layer, source,
+    generator, target) order or two of them on one link, or
+    d1 d2 != 0."""
     data = json.loads(text)
     gens = presentation.generators
     if list(data["generators"]) != list(gens):
@@ -405,16 +445,35 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     depth = list(data["depth"])
     if depth != [len(w) for w in vertices]:
         raise ValueError("vertex depths are not the lengths of their words")
+    radius = data["radius"]
+    if max(depth, default=0) > radius:
+        raise ValueError("a vertex lies deeper than the radius")
     nv, ngens = len(vertices), len(gens)
+    span = 2 * ngens + 1
     edges = [tuple(e) for e in data["edges"]]
     index = {w: i for i, w in enumerate(vertices)}
-    neighbors = [dict() for _ in vertices]
+    links = [None] * (nv * span)
+    sizes = [0] * (radius + 1)
+    last = ()
     for s, g, t in edges:
         if not (0 <= s < nv and 0 <= t < nv and 1 <= g <= ngens):
             raise ValueError(f"edge {(s, g, t)} is out of range")
-        neighbors[s][g] = t
-        neighbors[t][-g] = s
-    ball = CayleyBall(data["radius"], vertices, depth, edges, index, neighbors)
+        layer = depth[s] if depth[s] > depth[t] else depth[t]
+        key = (layer, s, g, t)
+        if key <= last:
+            raise ValueError(f"edge {(s, g, t)} is out of (layer, source, "
+                             "generator, target) order")
+        last = key
+        sizes[layer] += 1
+        links[s * span + ngens + g] = t
+        links[t * span + ngens - g] = s
+    # each edge fills two slots; a repeated link would fill one twice
+    if nv * span - links.count(None) != 2 * len(edges):
+        raise ValueError("two edges share a vertex's link on one letter")
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + size)
+    ball = CayleyBall(radius, ngens, vertices, depth, edges, index, links, starts)
     cells = [tuple(c) for c in data["cells"]]
     d2 = [dict() for _ in cells]
     for e, ci, num, den in data["d2"]:

@@ -234,6 +234,20 @@ def test_argparse_rejection_replaces_out_files_with_error_report(tmp_path, capsy
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_argparse_rejection_before_out_replaces_out_files(tmp_path, capsys):
+    # argparse stops at --vertex-cap x, before it reads --out
+    prefix = str(tmp_path / "p")
+    assert main(["--out", prefix, "fv", "Z2", "--k-max", "5"]) == 0
+    assert (tmp_path / "p.csv").exists()
+    code = main(["--vertex-cap", "x", "--out", prefix, "parse", "Z2"])
+    captured = capsys.readouterr()
+    message = "argument --vertex-cap: invalid int value: 'x'"
+    assert code == 2
+    assert captured.err.endswith(f"fillprobe: error: {message}\n")
+    assert json.loads((tmp_path / "p.json").read_text()) == {"error": message}
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("argv, out_written", [
     (["--out", "{missing}/p", "parse", "Z2"], False),
     (["--out", "{tmp}/p", "ball", "Z2", "--radius", "1",
@@ -431,6 +445,18 @@ def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
     def flip_first_d2_sign(data):
         data["d2"][0][2] = -data["d2"][0][2]
     _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, flip_first_d2_sign)
+
+
+def test_cache_dir_rebuilds_file_with_edges_out_of_order(tmp_path, capsys):
+    # the same complex with its last two edges swapped, d2 following
+    # them: edge ids are found by bisection, which needs the edge order
+    def swap_last_two_edges(data):
+        edges, last = data["edges"], len(data["edges"]) - 1
+        edges[last - 1], edges[last] = edges[last], edges[last - 1]
+        swap = {last - 1: last, last: last - 1}
+        for entry in data["d2"]:
+            entry[0] = swap.get(entry[0], entry[0])
+    _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, swap_last_two_edges)
 
 
 @pytest.mark.parametrize("new", ["b a", "a^2"],

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fillprobe.catalog import CATALOG, load
 from fillprobe.complexes import (
     Chain,
+    _walk,
     attach_cells,
     build_ball,
     complex_from_json,
@@ -177,17 +179,72 @@ def _case_id(value):
     return {_TRIVIAL_A: "a,b|a", _S3_RULES_FILE: "S3-rules-file"}.get(value)
 
 
+def _flat_links(neighbors, ngens):
+    """Per-vertex {signed letter: vertex id} dicts as one flat table."""
+    span = 2 * ngens + 1
+    links = [None] * (len(neighbors) * span)
+    for v, row in enumerate(neighbors):
+        for x, t in row.items():
+            links[v * span + ngens + x] = t
+    return links
+
+
 @pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
 def test_ball_matches_reference_ball(source, radius):
     presentation, rws = _system(source)
     assert rws.confluent
     ball = build_ball(presentation, rws, radius)
-    reference = _reference_ball(presentation, rws, radius)
-    assert (ball.vertices, ball.depth, ball.edges, ball.index,
-            ball.neighbors) == reference
-    # the links are made in the same order, not only to the same vertices
-    assert ([list(d.items()) for d in ball.neighbors]
-            == [list(d.items()) for d in reference[4]])
+    vertices, depth, edges, index, neighbors = _reference_ball(
+        presentation, rws, radius)
+    ngens = presentation.num_generators
+    assert (ball.vertices, ball.depth, ball.edges, ball.index) == (
+        vertices, depth, edges, index)
+    assert ball.links == _flat_links(neighbors, ngens)
+    layers = [max(depth[s], depth[t]) for s, _, t in edges]
+    assert ball.starts == [sum(1 for layer in layers if layer < bound)
+                           for bound in range(radius + 2)]
+
+
+@pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
+def test_edge_ids_match_a_dict_of_edges(source, radius):
+    # the bisection within a layer against the (source, generator) ->
+    # edge id dict it replaces, on the built ball and on its reload
+    presentation, rws = _system(source)
+    ball = build_ball(presentation, rws, radius)
+    text = complex_to_json(attach_cells(ball, presentation))
+    for b in (ball, complex_from_json(text, presentation).ball):
+        ids = {(s, g): i for i, (s, g, _) in enumerate(b.edges)}
+        for s, g, t in b.edges:
+            assert b.edge_id(s, g, t) == ids[s, g]
+            # one-letter walks along the edge and back against it
+            assert _walk(b, s, (g,)) == ({ids[s, g]: 1}, t)
+            assert _walk(b, t, (-g,)) == ({ids[s, g]: -1}, s)
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_walk_rejects_a_letter_outside_the_generators(z2, letter):
+    # without the check, a letter past +-ngens reads a slot of the next
+    # or the previous vertex's row
+    presentation, rws = z2
+    ball = build_ball(presentation, rws, 2)
+    with pytest.raises(ValueError, match="outside"):
+        word_to_edge_chain(ball, (1, letter))
+
+
+def test_s2_radius_5_ball_stays_small():
+    # one flat link table and no edge-id dict: about 7.4 MB on Python
+    # 3.11, against 14.5 MB with per-vertex neighbor dicts and a
+    # (source, generator) -> edge id dict
+    presentation, rws = load("S2")
+    rws.index_automaton
+    tracemalloc.start()
+    try:
+        ball = build_ball(presentation, rws, 5)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ball.num_vertices == 22289
+    assert size < 10_000_000
 
 
 @pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
@@ -385,15 +442,35 @@ def _flip_first_d2_sign(data):
     data["d2"][0][2] = -data["d2"][0][2]
 
 
+def _swap_last_two_edges(data):
+    """Swap the last two edges and their ids in d2: the same complex with
+    its edges out of (layer, source, generator, target) order."""
+    edges, last = data["edges"], len(data["edges"]) - 1
+    edges[last - 1], edges[last] = edges[last], edges[last - 1]
+    swap = {last - 1: last, last: last - 1}
+    for entry in data["d2"]:
+        entry[0] = swap.get(entry[0], entry[0])
+
+
+def _repeat_a_link(data):
+    # (0, 1, 1) and (0, 2, 2) become (0, 1, 1) and (0, 1, 2), still in
+    # order, but vertex 0 has two links on the letter 1
+    assert data["edges"][:2] == [[0, 1, 1], [0, 2, 2]]
+    data["edges"][1][1] = 1
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["depth"].__setitem__(1, 2),
+    lambda d: d.__setitem__("radius", 1),
     lambda d: d["edges"][0].__setitem__(2, len(d["vertices"])),
     lambda d: d["edges"][0].__setitem__(1, 3),
+    _swap_last_two_edges,
+    _repeat_a_link,
     lambda d: d["d2"][0].__setitem__(0, len(d["edges"])),
     lambda d: d["d2"][0].__setitem__(1, len(d["cells"])),
     _flip_first_d2_sign,
-], ids=["depth", "edge-endpoint", "edge-generator", "d2-edge", "d2-cell",
-        "d2-sign"])
+], ids=["depth", "radius", "edge-endpoint", "edge-generator", "edge-order",
+        "edge-repeated-link", "d2-edge", "d2-cell", "d2-sign"])
 def test_json_rejects_inconsistent_complex(z2, edit):
     presentation, rws = z2
     text = complex_to_json(attach_cells(build_ball(presentation, rws, 2), presentation))

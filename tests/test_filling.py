@@ -380,12 +380,14 @@ def _loop(ball, steps):
     """A closed walk from the identity: ``steps`` picks letters, then the
     walk goes home along its end vertex's normal form, which stays in
     the ball."""
+    n, links = ball.ngens, ball.links
     v, word = 0, []
     for step in steps:
-        letters = sorted(ball.neighbors[v])
+        row = links[v * (2 * n + 1):(v + 1) * (2 * n + 1)]
+        letters = [x for x in range(-n, n + 1) if row[n + x] is not None]
         x = letters[step % len(letters)]
         word.append(x)
-        v = ball.neighbors[v][x]
+        v = row[n + x]
     return word_to_edge_chain(ball, tuple(word) + inverse_word(ball.vertices[v]))
 
 
