@@ -7,7 +7,11 @@ length.  Each vertex also keeps its state in the rewriting system's
 index automaton, and a move on letter x looks up the state after x: if
 no rewrite applies, the neighbor's normal form is the word with x
 appended, and only a move that fires a rewrite reduces.  So a vertex on
-the boundary layer tries only the letters that fire from its state.
+the boundary layer tries only the letters that fire from its state, and
+none when every rule keeps word length mod 2 (then no edge joins two
+vertices of one layer).  Every vertex is linked from its parent (its
+word minus the last letter), so there is no word -> vertex id dict: a
+normal form is found by following its letters from the identity.
 Cells are relator loops based at ball vertices, kept only when the whole
 loop stays inside the ball; the resulting column of the 2-boundary
 records signed edge traversals.  Vertex, edge and cell indices are
@@ -88,7 +92,9 @@ class CayleyBall:
     the ball (and the unused slot of x = 0) holds None.  Edges are
     ordered by (layer, source, generator, target), where an edge's layer
     is the larger depth of its ends, and the layer-L edges are
-    ``edges[starts[L]:starts[L + 1]]``.
+    ``edges[starts[L]:starts[L + 1]]``.  A vertex other than the
+    identity is linked from its parent on its last letter x, so its
+    parent is its link on -x.
     """
 
     radius: int
@@ -96,7 +102,6 @@ class CayleyBall:
     vertices: list            # normal-form words
     depth: list               # BFS depth per vertex
     edges: list               # (source, generator, target) triples
-    index: dict               # word -> vertex id
     links: list               # vertex id or None per (vertex, signed letter)
     starts: list              # first edge id per layer, radius + 2 entries
 
@@ -135,16 +140,17 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     """BFS ball of the given radius around the identity.
 
     Each vertex keeps the state its irreducible word reaches in
-    ``rws.index_automaton``.  A move on x into a non-terminal state
-    fires no rewrite: the neighbor's normal form is ``word + (x,)``, one
-    letter longer.  Only a move into a terminal state reduces, as
-    ``rws.reduce((x,), word)``, so a boundary-layer vertex (depth ==
-    radius) tries only its state's firing letters.  Each edge is put in
-    the bucket of its layer (the larger depth of its ends) when its link
-    is made; edges are ordered by (layer, source, generator, target).
-    Each new vertex appends a blank row to the links.  Requires a
-    confluent rewriting system; aborts with a resource error if the
-    vertex cap is exceeded.
+    ``rws.index_automaton`` and is linked from its parent when made.  A
+    move on x into a non-terminal state fires no rewrite: the neighbor
+    is ``word + (x,)``, new exactly when the link on x is unset.  Only a
+    move into a terminal state reduces, as ``rws.reduce((x,), word)``,
+    and follows the target's letters through the links from the
+    identity.  A boundary-layer vertex (depth == radius) tries only its
+    state's firing letters, and none when every rule keeps word length
+    mod 2.  Each edge is put in the bucket of its layer (the larger
+    depth of its ends) when its link is made; edges are ordered by
+    (layer, source, generator, target).  Requires a confluent rewriting
+    system; aborts with a resource error if the vertex cap is exceeded.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
@@ -152,14 +158,17 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
         raise ValueError("radius must be nonnegative")
     ngens = presentation.num_generators
     letters = [*range(1, ngens + 1), *range(-1, -ngens - 1, -1)]
-    automaton, reduce = rws.index_automaton, rws.reduce
-    goto, terminal = automaton.goto, automaton.terminal
+    goto, terminal = rws.index_automaton.goto, rws.index_automaton.terminal
+    reduce = rws.reduce
     firing = [[x for x in letters if terminal[row[x]]] for row in goto]
+    # cancellation and every rule keep word length mod 2, so no edge joins
+    # two vertices of one layer; the relators alone do not say so, since
+    # supplied rules may define a quotient of their group
+    bipartite = all((len(lhs) - len(rhs)) % 2 == 0 for lhs, rhs in rws.rules)
 
-    root: Word = ()
     span = 2 * ngens + 1
     blank = [None] * span
-    vertices, depth, index, links, state = [root], [0], {root: 0}, blank.copy(), [0]
+    vertices, depth, links, state = [()], [0], blank.copy(), [0]
     layers = [[] for _ in range(radius + 1)]
     # the loop also visits the vertices appended while it runs, so by
     # depth, and a boundary-layer vertex links only to vertices already
@@ -167,13 +176,22 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     for v, word in enumerate(vertices if radius else ()):
         base, d = v * span + ngens, depth[v]
         inner = d < radius
+        if not inner and bipartite:
+            break
         row = goto[state[v]]
         for x in letters if inner else firing[state[v]]:
             if links[base + x] is not None:
                 continue
-            s = row[x]
-            target = reduce((x,), word) if terminal[s] else word + (x,)
-            t = index.get(target)
+            if terminal[row[x]]:
+                # every vertex is linked from its parent, so the target's
+                # letters lead from the identity to it, or to None on the
+                # last one when it lies at depth d + 1 and is still new
+                target, t = reduce((x,), word), 0
+                for y in target:
+                    p, t = t, links[t * span + ngens + y]
+            else:
+                # word + (x,) would have been linked from v when made
+                target, p, t = word + (x,), v, None
             if t is None:
                 if not inner:
                     continue
@@ -181,11 +199,16 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                 if t >= vertex_cap:
                     raise ResourceLimitError(
                         f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
+                y = target[-1]
                 vertices.append(target)
                 depth.append(d + 1)
-                index[target] = t
+                state.append(goto[state[p]][y])
                 links += blank
-                state.append(automaton.scan(target) if terminal[s] else s)
+                links[p * span + ngens + y] = t
+                links[t * span + ngens - y] = p
+                layers[d + 1].append((p, y, t) if y > 0 else (t, -y, p))
+                if p == v and y == x:       # the move was the parent link
+                    continue
             links[base + x] = t
             links[t * span + ngens - x] = v
             layer = depth[t] if depth[t] > d else d
@@ -195,7 +218,7 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
         bucket.sort()
         edges += bucket
         starts.append(len(edges))
-    return CayleyBall(radius, ngens, vertices, depth, edges, index, links, starts)
+    return CayleyBall(radius, ngens, vertices, depth, edges, links, starts)
 
 
 @dataclass
@@ -372,24 +395,17 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
 
 
 def complex_to_json(complex_: TwoComplex) -> str:
-    """Coordinate-form JSON of the complex.  ``d1`` is read off the edges
-    (s -> t has -1 at s and +1 at t; a loop has none).  A vertex's text,
-    as ``word_to_text`` writes it, extends that of its parent, its link
-    on -x for its last letter x: the parent's word is its own minus x,
-    an earlier vertex since normal forms are prefix-closed.  The letter
-    raises the last token's power or starts a new token."""
+    """Coordinate-form JSON of the complex, as compact ``json.dumps`` with
+    sorted keys writes it, built section by section from strings with no
+    list per entry.  ``d1`` is read off the edges (s -> t has -1 at s
+    and +1 at t; a loop has none).  A vertex's text, as ``word_to_text``
+    writes it, extends that of its parent, its link on -x for its last
+    letter x.  The letter raises the last token's power or starts a new
+    token."""
     ball = complex_.ball
     links, ngens = ball.links, ball.ngens
     span = 2 * ngens + 1
     gens = complex_.presentation.generators
-    d1_coords = []
-    for e, (s, _, t) in enumerate(ball.edges):
-        if s < t:
-            d1_coords += ([s, e, -1, 1], [t, e, 1, 1])
-        elif s > t:
-            d1_coords += ([t, e, 1, 1], [s, e, -1, 1])
-    d2_coords = [[e, ci, c, 1] for ci, col in enumerate(complex_.d2)
-                 for e, c in sorted(col.items())]
     # per vertex: its text, that text before its last token, its last run
     texts, heads, runs = [""], [""], [0]
     for v, w in enumerate(ball.vertices[1:], 1):
@@ -402,17 +418,21 @@ def complex_to_json(complex_: TwoComplex) -> str:
         texts.append(f"{head} {token}" if head else token)
         heads.append(head)
         runs.append(run)
-    payload = {
-        "radius": ball.radius,
-        "generators": list(gens),
-        "vertices": texts,
-        "depth": list(ball.depth),
-        "edges": [list(e) for e in ball.edges],
-        "cells": [list(c) for c in complex_.cells],
-        "d1": d1_coords,
-        "d2": d2_coords,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    compact = (",", ":")
+    return "".join((
+        '{"cells":[', ",".join(f"[{v},{ri}]" for v, ri in complex_.cells),
+        '],"d1":[', ",".join(
+            f"[{s},{e},-1,1],[{t},{e},1,1]" if s < t else
+            f"[{t},{e},1,1],[{s},{e},-1,1]"
+            for e, (s, _, t) in enumerate(ball.edges) if s != t),
+        '],"d2":[', ",".join(f"[{e},{ci},{c},1]" for ci, col in enumerate(complex_.d2)
+                             for e, c in sorted(col.items())),
+        '],"depth":[', ",".join(map(str, ball.depth)),
+        '],"edges":[', ",".join(f"[{s},{g},{t}]" for s, g, t in ball.edges),
+        '],"generators":', json.dumps(list(gens), separators=compact),
+        ',"radius":', str(ball.radius),
+        ',"vertices":', json.dumps(texts, separators=compact),
+        "}"))
 
 
 def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
@@ -421,9 +441,10 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     depth other than its vertex word's length (normal forms are
     geodesic), a vertex deeper than the radius, an edge or a d2 entry
     naming a missing vertex, edge or cell, edges out of (layer, source,
-    generator, target) order or two of them on one link, or
-    d1 d2 != 0."""
+    generator, target) order or two of them on one link, a repeated
+    vertex word, or d1 d2 != 0.  ``d1`` is not read: the edges give it."""
     data = json.loads(text)
+    data.pop("d1", None)
     gens = presentation.generators
     if list(data["generators"]) != list(gens):
         raise ValueError("cached complex belongs to a different presentation")
@@ -439,9 +460,11 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
         return tuple(letters)
 
     try:
-        vertices = [vertex_word(s) for s in data["vertices"]]
+        vertices = [vertex_word(s) for s in data.pop("vertices")]
     except PresentationSyntaxError as exc:
         raise ValueError(f"bad vertex word: {exc}") from exc
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("a vertex word is repeated")
     depth = list(data["depth"])
     if depth != [len(w) for w in vertices]:
         raise ValueError("vertex depths are not the lengths of their words")
@@ -450,8 +473,7 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
         raise ValueError("a vertex lies deeper than the radius")
     nv, ngens = len(vertices), len(gens)
     span = 2 * ngens + 1
-    edges = [tuple(e) for e in data["edges"]]
-    index = {w: i for i, w in enumerate(vertices)}
+    edges = [tuple(e) for e in data.pop("edges")]
     links = [None] * (nv * span)
     sizes = [0] * (radius + 1)
     last = ()
@@ -473,7 +495,7 @@ def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     starts = [0]
     for size in sizes:
         starts.append(starts[-1] + size)
-    ball = CayleyBall(radius, ngens, vertices, depth, edges, index, links, starts)
+    ball = CayleyBall(radius, ngens, vertices, depth, edges, links, starts)
     cells = [tuple(c) for c in data["cells"]]
     d2 = [dict() for _ in cells]
     for e, ci, num, den in data["d2"]:
@@ -512,11 +534,11 @@ def _cache_key(presentation: GroupPresentation, rws: RewritingSystem, radius: in
 
 
 def _holds_normal_forms(ball: CayleyBall, rws: RewritingSystem) -> bool:
-    """Whether the vertex words are distinct and irreducible, which under
-    a confluent system means they are the normal forms; O(total letters)."""
+    """Whether the vertex words, distinct in a loaded ball, are
+    irreducible, which under a confluent system means they are the
+    normal forms; O(total letters)."""
     scan = rws.index_automaton.scan
-    return (len(ball.index) == len(ball.vertices)
-            and all(scan(word) is not None for word in ball.vertices))
+    return all(scan(word) is not None for word in ball.vertices)
 
 
 def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: int,

@@ -172,11 +172,31 @@ _S3_RULES_FILE = json.dumps({
               ["b a b", "a b a"]]})
 
 
-_BALL_CASES = [*_COMPLEX_SHA256, ("F1", 8), (_S3_RULES_FILE, 2), (_S3_RULES_FILE, 4)]
+# its relator keeps word length mod 2, but its rules a -> 1 and
+# a^-1 -> 1 do not: every vertex carries an a-loop
+_EVEN_RELATOR_ODD_RULES = json.dumps({
+    "generators": ["a", "b"], "relators": ["a^2"],
+    "rules": [["a", ""], ["a^-1", ""]]})
+
+
+# b -> a^-1 fires before a^-1 itself: from a^-1, the move on b makes
+# a^-2, whose parent link is a^-1's move on a^-1
+_B_IS_A_INVERSE = "a, b | a b"
+# a group of order 16 whose completed rules make some vertex one letter
+# deeper by a firing move from a vertex other than its parent, and whose
+# automaton state differs from the one reached from that vertex
+_ORDER_16 = "a, b, c | b c^-1, c^-1 a c^-1 a, c b^-3 a^-2"
+
+
+_BALL_CASES = [*_COMPLEX_SHA256, ("F1", 8), (_S3_RULES_FILE, 2), (_S3_RULES_FILE, 4),
+               *((_EVEN_RELATOR_ODD_RULES, r) for r in (1, 2, 3)),
+               (_B_IS_A_INVERSE, 3), (_ORDER_16, 3)]
 
 
 def _case_id(value):
-    return {_TRIVIAL_A: "a,b|a", _S3_RULES_FILE: "S3-rules-file"}.get(value)
+    return {_TRIVIAL_A: "a,b|a", _S3_RULES_FILE: "S3-rules-file",
+            _EVEN_RELATOR_ODD_RULES: "a,b|a^2-odd-rules", _B_IS_A_INVERSE: "a,b|ab",
+            _ORDER_16: "order-16"}.get(value)
 
 
 def _flat_links(neighbors, ngens):
@@ -197,8 +217,8 @@ def test_ball_matches_reference_ball(source, radius):
     vertices, depth, edges, index, neighbors = _reference_ball(
         presentation, rws, radius)
     ngens = presentation.num_generators
-    assert (ball.vertices, ball.depth, ball.edges, ball.index) == (
-        vertices, depth, edges, index)
+    assert (ball.vertices, ball.depth, ball.edges) == (vertices, depth, edges)
+    assert {w: i for i, w in enumerate(ball.vertices)} == index
     assert ball.links == _flat_links(neighbors, ngens)
     layers = [max(depth[s], depth[t]) for s, _, t in edges]
     assert ball.starts == [sum(1 for layer in layers if layer < bound)
@@ -232,19 +252,37 @@ def test_walk_rejects_a_letter_outside_the_generators(z2, letter):
 
 
 def test_s2_radius_5_ball_stays_small():
-    # one flat link table and no edge-id dict: about 7.4 MB on Python
-    # 3.11, against 14.5 MB with per-vertex neighbor dicts and a
-    # (source, generator) -> edge id dict
+    # one flat link table, no edge-id dict and no word -> vertex id dict:
+    # on Python 3.11 the ball holds 5.6 MB and peaks at 6.0 MB while it
+    # is built, against 7.0 and 7.7 MB with the word -> vertex id dict
+    # (14.5 MB held with per-vertex neighbor dicts and an edge-id dict)
     presentation, rws = load("S2")
     rws.index_automaton
     tracemalloc.start()
     try:
         ball = build_ball(presentation, rws, 5)
-        size, _ = tracemalloc.get_traced_memory()
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert ball.num_vertices == 22289
-    assert size < 10_000_000
+    assert size < 6_300_000
+    assert peak < 6_800_000
+
+
+def test_s2_radius_5_export_stays_small():
+    # written from per-section strings: on Python 3.11 the export peaks
+    # 5.3 MB above the complex, its 1.6 MB text included, against 13.9 MB
+    # through a payload dict of per-entry lists
+    presentation, rws = load("S2")
+    complex_ = attach_cells(build_ball(presentation, rws, 5), presentation)
+    tracemalloc.start()
+    try:
+        text = complex_to_json(complex_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(text.encode()).hexdigest() == _COMPLEX_SHA256["S2", 5]
+    assert peak < 9_000_000
 
 
 @pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
@@ -255,6 +293,36 @@ def test_exported_vertices_are_word_texts(source, radius):
     exported = json.loads(complex_to_json(attach_cells(ball, presentation)))
     assert exported["vertices"] == [
         word_to_text(w, presentation.generators) for w in ball.vertices]
+
+
+def _reference_json(complex_):
+    """complex_to_json as it was through a payload dict: json.dumps of
+    per-entry lists, with the vertex texts from word_to_text."""
+    ball = complex_.ball
+    d1 = []
+    for e, (s, _, t) in enumerate(ball.edges):
+        if s != t:
+            d1 += sorted(([s, e, -1, 1], [t, e, 1, 1]))
+    payload = {
+        "radius": ball.radius,
+        "generators": list(complex_.presentation.generators),
+        "vertices": [word_to_text(w, complex_.presentation.generators)
+                     for w in ball.vertices],
+        "depth": list(ball.depth),
+        "edges": [list(e) for e in ball.edges],
+        "cells": [list(c) for c in complex_.cells],
+        "d1": d1,
+        "d2": [[e, ci, c, 1] for ci, col in enumerate(complex_.d2)
+               for e, c in sorted(col.items())],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
+def test_export_matches_json_dumps_of_its_payload(source, radius):
+    presentation, rws = _system(source)
+    complex_ = attach_cells(build_ball(presentation, rws, radius), presentation)
+    assert complex_to_json(complex_) == _reference_json(complex_)
 
 
 @pytest.mark.parametrize("source, radius", list(_COMPLEX_SHA256), ids=_case_id)
@@ -459,6 +527,12 @@ def _repeat_a_link(data):
     data["edges"][1][1] = 1
 
 
+def _repeat_a_vertex_word(data):
+    # vertices 1 and 2 both a: depths, edges and d2 still check out
+    assert data["vertices"][1:3] == ["a", "b"]
+    data["vertices"][2] = "a"
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["depth"].__setitem__(1, 2),
     lambda d: d.__setitem__("radius", 1),
@@ -469,8 +543,9 @@ def _repeat_a_link(data):
     lambda d: d["d2"][0].__setitem__(0, len(d["edges"])),
     lambda d: d["d2"][0].__setitem__(1, len(d["cells"])),
     _flip_first_d2_sign,
+    _repeat_a_vertex_word,
 ], ids=["depth", "radius", "edge-endpoint", "edge-generator", "edge-order",
-        "edge-repeated-link", "d2-edge", "d2-cell", "d2-sign"])
+        "edge-repeated-link", "d2-edge", "d2-cell", "d2-sign", "vertex-repeated"])
 def test_json_rejects_inconsistent_complex(z2, edit):
     presentation, rws = z2
     text = complex_to_json(attach_cells(build_ball(presentation, rws, 2), presentation))
