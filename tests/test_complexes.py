@@ -271,7 +271,7 @@ def test_s2_radius_5_ball_stays_small():
 
 def test_s2_radius_5_export_stays_small():
     # written from per-section strings: on Python 3.11 the export peaks
-    # 5.3 MB above the complex, its 1.6 MB text included, against 13.9 MB
+    # 5.7 MB above the complex, its 1.6 MB text included, against 13.9 MB
     # through a payload dict of per-entry lists
     presentation, rws = load("S2")
     complex_ = attach_cells(build_ball(presentation, rws, 5), presentation)
