@@ -17,13 +17,15 @@ loop stays inside the ball; the resulting column of the 2-boundary
 records signed edge traversals.  Vertex, edge and cell indices are
 stable under radius growth: enlarging the ball only appends.
 
-A ball's links are one flat list with a row of 2n + 1 slots per vertex
-(n generators), not a container per vertex.  A dict per vertex takes
-about as much memory as the rest of the ball together, and a list per
-vertex is one more object for the garbage collector to track on every
-collection; it stops tracking a dict that holds only ints, but never a
-list.  Edge ids are found by bisection in the sorted edge list, so
-there is no (source, generator) -> edge id dict either.
+A ball is held in flat arrays of C ints, not in Python objects per
+vertex or per edge: its links, a row of 2n + 1 slots per vertex (n
+generators), each vertex's depth and last letter, and each edge as the
+code of its link slot.  A vertex's word is read back along its parent
+links when needed, and an edge's triple is decoded from its code.  A
+container or a tuple per vertex took most of a ball's memory, and each
+list or tuple is one more object for the garbage collector to track.
+Edge ids are found by bisection of the codes within the edge's layer,
+so there is no (source, generator) -> edge id dict either.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import IncompleteSystemError, PresentationSyntaxError, ResourceLimitError
@@ -41,6 +44,8 @@ from .rewriting import RewritingSystem
 
 DEFAULT_VERTEX_CAP = 200_000
 DEFAULT_WALK_CAP = 1_000_000
+# a C int holds every code and vertex id below this
+_INT_LIMIT = 2 ** (8 * array("i").itemsize - 1)
 
 
 @dataclass(frozen=True)
@@ -86,48 +91,84 @@ class Chain:
 class CayleyBall:
     """Truncated Cayley graph: vertex 0 is the identity.
 
-    ``links`` has ``span = 2 * ngens + 1`` slots per vertex, as a row of
+    Every per-vertex and per-edge field is an ``array`` of C ints
+    (typecode ``"i"``), not a list of Python objects.  ``links`` has
+    ``span = 2 * ngens + 1`` slots per vertex, as a row of
     ``IndexAutomaton.goto`` has: vertex v's neighbor along the signed
     letter x sits at ``v * span + ngens + x``, and a move that leaves
-    the ball (and the unused slot of x = 0) holds None.  Edges are
-    ordered by (layer, source, generator, target), where an edge's layer
-    is the larger depth of its ends, and the layer-L edges are
-    ``edges[starts[L]:starts[L + 1]]``.  A vertex other than the
-    identity is linked from its parent on its last letter x, so its
-    parent is its link on -x.
+    the ball (and the unused slot of x = 0) holds -1.  ``last[v]`` is
+    the last letter x of v's normal form (0 for the identity); v is
+    linked from its parent on x, so its parent is its link on -x, and
+    ``word(v)`` reads the normal form back along the parent links.
+    Edge e, from s to t on the generator g > 0, is stored as the code
+    ``edges[e] = s * span + ngens + g`` of its link slot, so
+    ``links[edges[e]] == t``.  Edges are ordered by (layer, code), which
+    is (layer, source, generator, target) order, where an edge's layer
+    is the larger depth of its ends; the layer-L edges are
+    ``edges[starts[L]:starts[L + 1]]``.
     """
 
     radius: int
     ngens: int
-    vertices: list            # normal-form words
-    depth: list               # BFS depth per vertex
-    edges: list               # (source, generator, target) triples
-    links: list               # vertex id or None per (vertex, signed letter)
+    depth: array              # BFS depth per vertex
+    last: array               # last letter of each vertex's normal form
+    links: array              # vertex id or -1 per (vertex, signed letter)
+    edges: array              # link-slot code per edge
     starts: list              # first edge id per layer, radius + 2 entries
+    span: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.span = 2 * self.ngens + 1
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.depth)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def word(self, v: int) -> Word:
+        """Normal form of vertex v, read back along its parent links."""
+        links, last, ngens, span = self.links, self.last, self.ngens, self.span
+        letters = []
+        while v:
+            x = last[v]
+            letters.append(x)
+            v = links[v * span + ngens - x]
+        return tuple(reversed(letters))
+
+    def edge(self, e: int) -> tuple:
+        """Edge e as its (source, generator, target) triple."""
+        code = self.edges[e]
+        s, slot = divmod(code, self.span)
+        return s, slot - self.ngens, self.links[code]
+
+    def layer(self, e: int) -> int:
+        """Layer of edge e: the larger depth of its ends."""
+        return bisect_right(self.starts, e) - 1
+
     def edge_id(self, s: int, g: int, t: int) -> int:
-        """Id of the edge (s, g, t), which must be in the ball."""
-        depth = self.depth
+        """Id of the edge (s, g, t); ValueError if the ball has no such
+        edge."""
+        depth, ngens = self.depth, self.ngens
+        code = s * self.span + ngens + g
+        if not (0 <= s < len(depth) and 1 <= g <= ngens and t >= 0
+                and self.links[code] == t):
+            raise ValueError(f"edge {(s, g, t)} is not in the ball")
         layer = depth[s] if depth[s] > depth[t] else depth[t]
-        return bisect_left(self.edges, (s, g, t),
-                           self.starts[layer], self.starts[layer + 1])
+        return bisect_left(self.edges, code, self.starts[layer], self.starts[layer + 1])
 
     def d1_column(self, edge_id: int) -> dict:
-        s, _, t = self.edges[edge_id]
+        s, _, t = self.edge(edge_id)
         return {} if s == t else {t: 1, s: -1}
 
     def adjacency(self):
         """Per-vertex incident edge list: (edge id, sign, other endpoint)."""
-        adj = [[] for _ in self.vertices]
-        for e, (s, _, t) in enumerate(self.edges):
+        links, span = self.links, self.span
+        adj = [[] for _ in range(self.num_vertices)]
+        for e, code in enumerate(self.edges):
+            s, t = code // span, links[code]
             adj[s].append((e, 1, t))
             adj[t].append((e, -1, s))
         for lst in adj:
@@ -142,15 +183,16 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     Each vertex keeps the state its irreducible word reaches in
     ``rws.index_automaton`` and is linked from its parent when made.  A
     move on x into a non-terminal state fires no rewrite: the neighbor
-    is ``word + (x,)``, new exactly when the link on x is unset.  Only a
-    move into a terminal state reduces, as ``rws.reduce((x,), word)``,
-    and follows the target's letters through the links from the
-    identity.  A boundary-layer vertex (depth == radius) tries only its
-    state's firing letters, and none when every rule keeps word length
-    mod 2.  Each edge is put in the bucket of its layer (the larger
-    depth of its ends) when its link is made; edges are ordered by
-    (layer, source, generator, target).  Requires a confluent rewriting
-    system; aborts with a resource error if the vertex cap is exceeded.
+    is the vertex's word followed by x, new exactly when the link on x
+    is unset.  Only a move into a terminal state reduces, as
+    ``rws.reduce((x,), ball.word(v))``, and follows the target's letters
+    through the links from the identity.  A boundary-layer vertex
+    (depth == radius) tries only its state's firing letters, and none
+    when every rule keeps word length mod 2.  Each edge's code is put in
+    the bucket of its layer (the larger depth of its ends) when its link
+    is made; edges are ordered by (layer, code).  Requires a confluent
+    rewriting system; aborts with a resource error if the vertex cap is
+    exceeded, or if a link-slot code would not fit in a C int.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
@@ -167,58 +209,59 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     bipartite = all((len(lhs) - len(rhs)) % 2 == 0 for lhs, rhs in rws.rules)
 
     span = 2 * ngens + 1
-    blank = [None] * span
-    vertices, depth, links, state = [()], [0], blank.copy(), [0]
-    layers = [[] for _ in range(radius + 1)]
+    # every code and vertex id is below num_vertices * span
+    cap = min(vertex_cap, _INT_LIMIT // span)
+    blank = array("i", [-1]) * span
+    depth, last, links, state = array("i", [0]), array("i", [0]), blank[:], [0]
+    ball = CayleyBall(radius, ngens, depth, last, links, array("i"), [0])
+    layers = [array("i") for _ in range(radius + 1)]
     # the loop also visits the vertices appended while it runs, so by
     # depth, and a boundary-layer vertex links only to vertices already
     # found.  The radius-0 ball has no edges, not even loops.
-    for v, word in enumerate(vertices if radius else ()):
-        base, d = v * span + ngens, depth[v]
+    for v, d in enumerate(depth if radius else ()):
+        base = v * span + ngens
         inner = d < radius
         if not inner and bipartite:
             break
         row = goto[state[v]]
         for x in letters if inner else firing[state[v]]:
-            if links[base + x] is not None:
+            if links[base + x] >= 0:
                 continue
             if terminal[row[x]]:
                 # every vertex is linked from its parent, so the target's
-                # letters lead from the identity to it, or to None on the
-                # last one when it lies at depth d + 1 and is still new
-                target, t = reduce((x,), word), 0
-                for y in target:
+                # letters lead from the identity to it, or to -1 on the
+                # last one, y, when it lies at depth d + 1 and is still new
+                t = 0
+                for y in reduce((x,), ball.word(v)):
                     p, t = t, links[t * span + ngens + y]
             else:
-                # word + (x,) would have been linked from v when made
-                target, p, t = word + (x,), v, None
-            if t is None:
+                # v's word followed by x would have been linked from v
+                y, p, t = x, v, -1
+            if t < 0:
                 if not inner:
                     continue
-                t = len(vertices)
-                if t >= vertex_cap:
-                    raise ResourceLimitError(
-                        f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
-                y = target[-1]
-                vertices.append(target)
+                t = len(depth)
+                if t >= cap:
+                    raise ResourceLimitError(f"ball exceeds vertex cap {cap}", limit=cap)
                 depth.append(d + 1)
+                last.append(y)
                 state.append(goto[state[p]][y])
                 links += blank
                 links[p * span + ngens + y] = t
                 links[t * span + ngens - y] = p
-                layers[d + 1].append((p, y, t) if y > 0 else (t, -y, p))
+                layers[d + 1].append(p * span + ngens + y if y > 0 else
+                                     t * span + ngens - y)
                 if p == v and y == x:       # the move was the parent link
                     continue
             links[base + x] = t
             links[t * span + ngens - x] = v
             layer = depth[t] if depth[t] > d else d
-            layers[layer].append((v, x, t) if x > 0 else (t, -x, v))
-    edges, starts = [], [0]
+            layers[layer].append(base + x if x > 0 else t * span + ngens - x)
+    edges, starts = ball.edges, ball.starts
     for bucket in layers:
-        bucket.sort()
-        edges += bucket
+        edges.extend(sorted(bucket))
         starts.append(len(edges))
-    return CayleyBall(radius, ngens, vertices, depth, edges, links, starts)
+    return ball
 
 
 @dataclass
@@ -262,15 +305,14 @@ def _walk(ball: CayleyBall, start: int, word) -> tuple[dict, int] | None:
     prefix leaves the ball; ValueError for a letter outside
     +-1..+-ngens.  The walk follows the links first, so edge ids are
     looked up only for a walk that stays in the ball."""
-    links, ngens = ball.links, ball.ngens
-    span = 2 * ngens + 1
+    links, ngens, span = ball.links, ball.ngens, ball.span
     v, path = start, [start]
     for x in word:
         # another letter would read a slot of some other vertex
         if not -ngens <= x <= ngens or not x:
             raise ValueError(f"letter {x} is outside +-1..+-{ngens}")
         v = links[v * span + ngens + x]
-        if v is None:
+        if v < 0:
             return None
         path.append(v)
     edge_id, coeffs = ball.edge_id, {}
@@ -303,9 +345,7 @@ def attach_cells(ball: CayleyBall, presentation: GroupPresentation) -> TwoComple
                     "the rules and the relators disagree about the group")
             if not col:
                 continue
-            layer = max(max(ball.depth[ball.edges[e][0]],
-                            ball.depth[ball.edges[e][2]]) for e in col)
-            candidates.append((layer, v, ri, col))
+            candidates.append((ball.layer(max(col)), v, ri, col))
     candidates.sort(key=lambda c: c[:3])
     cells, columns, seen = [], [], set()
     for _, v, ri, col in candidates:
@@ -350,7 +390,7 @@ def add_circuit(found: dict, ball: CayleyBall, steps) -> None:
         return
     key = _sign_canonical(col)
     if key not in found:
-        letters = tuple(ball.edges[e][1] * sign for e, sign in steps)
+        letters = tuple(ball.edge(e)[1] * sign for e, sign in steps)
         found[key] = Circuit(Chain(1, col), letters, len(steps))
 
 
@@ -394,108 +434,133 @@ def enumerate_circuits(ball: CayleyBall, max_len: int,
     return sorted(results.values(), key=lambda c: (c.length, c.letters))
 
 
-def complex_to_json(complex_: TwoComplex) -> str:
-    """Coordinate-form JSON of the complex, as compact ``json.dumps`` with
-    sorted keys writes it, built section by section from strings with no
-    list per entry.  ``d1`` is read off the edges (s -> t has -1 at s
-    and +1 at t; a loop has none).  A vertex's text, as ``word_to_text``
-    writes it, extends that of its parent, its link on -x for its last
-    letter x.  The letter raises the last token's power or starts a new
-    token."""
-    ball = complex_.ball
-    links, ngens = ball.links, ball.ngens
-    span = 2 * ngens + 1
-    gens = complex_.presentation.generators
+def _vertex_texts(ball: CayleyBall, generators) -> list:
+    """Each vertex's word as ``word_to_text`` writes it.  A vertex's text
+    extends that of its parent, its link on -x for its last letter x:
+    the letter raises the last token's power when it is also the
+    parent's last letter, and starts a new token otherwise."""
+    links, last, ngens, span = ball.links, ball.last, ball.ngens, ball.span
     # per vertex: its text, that text before its last token, its last run
     texts, heads, runs = [""], [""], [0]
-    for v, w in enumerate(ball.vertices[1:], 1):
-        x = w[-1]
+    for v, x in enumerate(last[1:], 1):
         p = links[v * span + ngens - x]
-        run = runs[p] + 1 if len(w) > 1 and w[-2] == x else 1
+        run = runs[p] + 1 if last[p] == x else 1
         head = heads[p] if run > 1 else texts[p]
         power = run if x > 0 else -run
-        token = gens[x - 1] if power == 1 else f"{gens[abs(x) - 1]}^{power}"
+        token = (generators[x - 1] if power == 1 else
+                 f"{generators[abs(x) - 1]}^{power}")
         texts.append(f"{head} {token}" if head else token)
         heads.append(head)
         runs.append(run)
+    return texts
+
+
+def complex_to_json(complex_: TwoComplex) -> str:
+    """Coordinate-form JSON of the complex, as compact ``json.dumps`` with
+    sorted keys writes it, built section by section from strings with no
+    list per entry.  An edge's (source, generator, target) is decoded
+    from its code, and ``d1`` is read off the edges (s -> t has -1 at s
+    and +1 at t; a loop has none)."""
+    ball = complex_.ball
+    edges, links, ngens, span = ball.edges, ball.links, ball.ngens, ball.span
+    gens = complex_.presentation.generators
     compact = (",", ":")
     return "".join((
         '{"cells":[', ",".join(f"[{v},{ri}]" for v, ri in complex_.cells),
         '],"d1":[', ",".join(
             f"[{s},{e},-1,1],[{t},{e},1,1]" if s < t else
             f"[{t},{e},1,1],[{s},{e},-1,1]"
-            for e, (s, _, t) in enumerate(ball.edges) if s != t),
+            for e, code in enumerate(edges)
+            if (s := code // span) != (t := links[code])),
         '],"d2":[', ",".join(f"[{e},{ci},{c},1]" for ci, col in enumerate(complex_.d2)
                              for e, c in sorted(col.items())),
         '],"depth":[', ",".join(map(str, ball.depth)),
-        '],"edges":[', ",".join(f"[{s},{g},{t}]" for s, g, t in ball.edges),
+        '],"edges":[', ",".join(f"[{code // span},{code % span - ngens},{links[code]}]"
+                                for code in edges),
         '],"generators":', json.dumps(list(gens), separators=compact),
         ',"radius":', str(ball.radius),
-        ',"vertices":', json.dumps(texts, separators=compact),
+        ',"vertices":', json.dumps(_vertex_texts(ball, gens), separators=compact),
         "}"))
 
 
 def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
     """Load ``complex_to_json`` output.  A file that is well-formed but
     inconsistent raises ValueError: a vertex word that does not parse, a
-    depth other than its vertex word's length (normal forms are
-    geodesic), a vertex deeper than the radius, an edge or a d2 entry
-    naming a missing vertex, edge or cell, edges out of (layer, source,
-    generator, target) order or two of them on one link, a repeated
-    vertex word, or d1 d2 != 0.  ``d1`` is not read: the edges give it."""
+    depth outside 0..radius, an edge or a d2 entry naming a missing
+    vertex, edge or cell, edges out of (layer, source, generator,
+    target) order or two of them on one link, a vertex whose parent (its
+    link on -x for its word's last letter x) does not come before it or
+    is not one layer shallower (normal forms are geodesic), a vertex
+    inside the radius without all of its neighbors, vertex words other
+    than their parents' words followed by their last letters, as
+    ``word_to_text`` writes them, or d1 d2 != 0.  So vertex 0's word is
+    empty and no word repeats.  ``d1`` is not read: the edges give it."""
     data = json.loads(text)
     data.pop("d1", None)
     gens = presentation.generators
     if list(data["generators"]) != list(gens):
         raise ValueError("cached complex belongs to a different presentation")
-    parsed: dict = {}       # token -> letters; a ball repeats few tokens
-
-    def vertex_word(text):
-        letters = []
-        for token in str.split(text):
-            part = parsed.get(token)
-            if part is None:
-                part = parsed[token] = parse_word(token, gens)
-            letters += part
-        return tuple(letters)
-
+    texts = data.pop("vertices")
+    finals: dict = {}       # token -> its last letter; a ball repeats few tokens
+    last = array("i", [0])
     try:
-        vertices = [vertex_word(s) for s in data.pop("vertices")]
+        for vertex_text in texts[1:]:
+            token = str.rpartition(vertex_text, " ")[2]
+            x = finals.get(token)
+            if x is None:
+                letters = parse_word(token, gens)
+                x = finals[token] = letters[-1] if letters else 0
+            last.append(x)
     except PresentationSyntaxError as exc:
         raise ValueError(f"bad vertex word: {exc}") from exc
-    if len(set(vertices)) != len(vertices):
-        raise ValueError("a vertex word is repeated")
-    depth = list(data["depth"])
-    if depth != [len(w) for w in vertices]:
-        raise ValueError("vertex depths are not the lengths of their words")
+    depth = data.pop("depth")
     radius = data["radius"]
-    if max(depth, default=0) > radius:
-        raise ValueError("a vertex lies deeper than the radius")
-    nv, ngens = len(vertices), len(gens)
+    nv, ngens = len(texts), len(gens)
+    if len(depth) != nv or not nv or depth[0] != 0:
+        raise ValueError("the depths are not one per vertex, starting at 0")
+    # checked before the conversion to C ints, which could overflow
+    if min(depth) < 0 or max(depth) > radius:
+        raise ValueError("a vertex depth is outside 0..radius")
+    depth = array("i", depth)
     span = 2 * ngens + 1
-    edges = [tuple(e) for e in data.pop("edges")]
-    links = [None] * (nv * span)
+    links, edges = array("i", [-1]) * (nv * span), array("i")
     sizes = [0] * (radius + 1)
-    last = ()
-    for s, g, t in edges:
+    prev = ()
+    for s, g, t in data.pop("edges"):
         if not (0 <= s < nv and 0 <= t < nv and 1 <= g <= ngens):
             raise ValueError(f"edge {(s, g, t)} is out of range")
         layer = depth[s] if depth[s] > depth[t] else depth[t]
-        key = (layer, s, g, t)
-        if key <= last:
+        code = s * span + ngens + g
+        if (layer, code) <= prev:
             raise ValueError(f"edge {(s, g, t)} is out of (layer, source, "
                              "generator, target) order")
-        last = key
+        prev = (layer, code)
         sizes[layer] += 1
-        links[s * span + ngens + g] = t
+        edges.append(code)
+        links[code] = t
         links[t * span + ngens - g] = s
     # each edge fills two slots; a repeated link would fill one twice
-    if nv * span - links.count(None) != 2 * len(edges):
+    if nv * span - links.count(-1) != 2 * len(edges):
         raise ValueError("two edges share a vertex's link on one letter")
+    for v in range(1, nv):
+        x = last[v]
+        p = links[v * span + ngens - x]
+        if not (x and 0 <= p < v and depth[v] == depth[p] + 1):
+            raise ValueError(f"vertex {v} has no parent link one layer "
+                             "shallower and before it")
+    # a ball holds every neighbor of a vertex inside its radius: only
+    # the unused slot of x = 0 is unset
+    for v in range(nv):
+        if depth[v] < radius and links[v * span:v * span + span].count(-1) > 1:
+            raise ValueError(f"vertex {v} lies inside the radius but lacks "
+                             "a neighbor")
     starts = [0]
     for size in sizes:
         starts.append(starts[-1] + size)
-    ball = CayleyBall(radius, ngens, vertices, depth, edges, links, starts)
+    ball = CayleyBall(radius, ngens, depth, last, links, edges, starts)
+    if _vertex_texts(ball, gens) != texts:
+        raise ValueError("a vertex word is not its parent link's word "
+                         "followed by its last letter")
     cells = [tuple(c) for c in data["cells"]]
     d2 = [dict() for _ in cells]
     for e, ci, num, den in data["d2"]:
@@ -536,9 +601,19 @@ def _cache_key(presentation: GroupPresentation, rws: RewritingSystem, radius: in
 def _holds_normal_forms(ball: CayleyBall, rws: RewritingSystem) -> bool:
     """Whether the vertex words, distinct in a loaded ball, are
     irreducible, which under a confluent system means they are the
-    normal forms; O(total letters)."""
-    scan = rws.index_automaton.scan
-    return all(scan(word) is not None for word in ball.vertices)
+    normal forms.  A vertex's automaton state is its parent's state
+    after its last letter, and a parent comes before its child, so this
+    is one pass over the vertices."""
+    goto, terminal = rws.index_automaton.goto, rws.index_automaton.terminal
+    links, last, ngens, span = ball.links, ball.last, ball.ngens, ball.span
+    state = [0]
+    for v in range(1, ball.num_vertices):
+        x = last[v]
+        s = goto[state[links[v * span + ngens - x]]][x]
+        if terminal[s]:
+            return False
+        state.append(s)
+    return True
 
 
 def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: int,

@@ -67,7 +67,7 @@ def _require_cycle(b: Chain, complex_: TwoComplex):
         raise NotACycleError("chain is not a cycle (nonzero boundary)")
 
 
-def _cotree_edges(edges, row_edges):
+def _cotree_edges(ball, row_edges):
     """The edges of ``row_edges`` (sorted) outside the spanning forest T
     that union-find picks: the first edge to join two components goes
     into T, so a self-loop never does."""
@@ -81,10 +81,12 @@ def _cotree_edges(edges, row_edges):
             parent[v], v = root, parent[v]
         return root
 
+    edges, links, span = ball.edges, ball.links, ball.span
     cotree = []
     for e in row_edges:
-        s, _, t = edges[e]
-        rs, rt = find(s), find(t)
+        # edge e runs from edges[e] // span to links[edges[e]]
+        code = edges[e]
+        rs, rt = find(code // span), find(links[code])
         if rs == rt:
             cotree.append(e)
         else:
@@ -108,7 +110,7 @@ def _filling_program(b: Chain, complex_: TwoComplex):
         covered.update(col)
     if any(e not in covered for e in b.entries):
         return None
-    cotree = _cotree_edges(complex_.ball.edges, sorted(covered))
+    cotree = _cotree_edges(complex_.ball, sorted(covered))
     row_of = {e: i for i, e in enumerate(cotree)}
     nc = complex_.num_cells
     rows = [dict() for _ in row_of]

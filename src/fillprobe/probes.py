@@ -127,11 +127,8 @@ class GrowthFit:
 
 
 def _circuit_reach(ball, circuit: Circuit) -> int:
-    reach = 0
-    for e in circuit.chain.entries:
-        s, _, t = ball.edges[e]
-        reach = max(reach, ball.depth[s], ball.depth[t])
-    return reach
+    # edges are ordered by layer, so the last edge is in the deepest one
+    return ball.layer(max(circuit.chain.entries))
 
 
 def _sampled_circuits(ball, k_max: int, seed: int, budget: int):
@@ -424,7 +421,8 @@ def probe_amenability(presentation: GroupPresentation, rws: RewritingSystem,
         row_of = {v: i for i, v in enumerate(interior)}
         # s != t puts the edge's two entries in distinct rows: none cancels
         rows = [{} for _ in interior]
-        for e, (s, _, t) in enumerate(ball.edges):
+        for e in range(ball.num_edges):
+            s, _, t = ball.edge(e)
             if s == t:
                 continue
             i = row_of.get(t)

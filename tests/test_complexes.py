@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillprobe import complexes
 from fillprobe.catalog import CATALOG, load
 from fillprobe.complexes import (
+    CayleyBall,
     Chain,
+    TwoComplex,
     _walk,
     attach_cells,
     build_ball,
@@ -63,7 +68,7 @@ def test_radius_zero_trivial(z2):
     ball = build_ball(presentation, rws, 0)
     assert ball.num_vertices == 1
     assert ball.num_edges == 0
-    assert ball.vertices[0] == ()
+    assert ball.word(0) == ()
 
 
 _TRIVIAL_A = "generators: a, b\nrelator: a\n"
@@ -127,7 +132,7 @@ def test_depth_is_normal_form_length(source, radius):
     presentation, rws = _system(source)
     assert rws.confluent
     ball = build_ball(presentation, rws, radius)
-    assert ball.depth == [len(w) for w in ball.vertices]
+    assert list(ball.depth) == [len(ball.word(v)) for v in range(ball.num_vertices)]
 
 
 def _reference_ball(presentation, rws, radius):
@@ -202,7 +207,7 @@ def _case_id(value):
 def _flat_links(neighbors, ngens):
     """Per-vertex {signed letter: vertex id} dicts as one flat table."""
     span = 2 * ngens + 1
-    links = [None] * (len(neighbors) * span)
+    links = [-1] * (len(neighbors) * span)
     for v, row in enumerate(neighbors):
         for x, t in row.items():
             links[v * span + ngens + x] = t
@@ -217,10 +222,16 @@ def test_ball_matches_reference_ball(source, radius):
     vertices, depth, edges, index, neighbors = _reference_ball(
         presentation, rws, radius)
     ngens = presentation.num_generators
-    assert (ball.vertices, ball.depth, ball.edges) == (vertices, depth, edges)
-    assert {w: i for i, w in enumerate(ball.vertices)} == index
-    assert ball.links == _flat_links(neighbors, ngens)
+    assert [ball.word(v) for v in range(ball.num_vertices)] == vertices
+    assert [ball.edge(e) for e in range(ball.num_edges)] == edges
+    assert list(ball.depth) == depth
+    assert list(ball.last) == [w[-1] if w else 0 for w in vertices]
+    assert list(ball.links) == _flat_links(neighbors, ngens)
+    assert all(typecode == "i" for typecode in (
+        ball.depth.typecode, ball.last.typecode, ball.links.typecode,
+        ball.edges.typecode))
     layers = [max(depth[s], depth[t]) for s, _, t in edges]
+    assert [ball.layer(e) for e in range(ball.num_edges)] == layers
     assert ball.starts == [sum(1 for layer in layers if layer < bound)
                            for bound in range(radius + 2)]
 
@@ -231,14 +242,44 @@ def test_edge_ids_match_a_dict_of_edges(source, radius):
     # edge id dict it replaces, on the built ball and on its reload
     presentation, rws = _system(source)
     ball = build_ball(presentation, rws, radius)
+    vertices, _, edges, _, _ = _reference_ball(presentation, rws, radius)
     text = complex_to_json(attach_cells(ball, presentation))
+    ids = {(s, g): i for i, (s, g, _) in enumerate(edges)}
     for b in (ball, complex_from_json(text, presentation).ball):
-        ids = {(s, g): i for i, (s, g, _) in enumerate(b.edges)}
-        for s, g, t in b.edges:
+        assert [b.word(v) for v in range(b.num_vertices)] == vertices
+        assert [b.edge(e) for e in range(b.num_edges)] == edges
+        for s, g, t in edges:
             assert b.edge_id(s, g, t) == ids[s, g]
             # one-letter walks along the edge and back against it
             assert _walk(b, s, (g,)) == ({ids[s, g]: 1}, t)
             assert _walk(b, t, (-g,)) == ({ids[s, g]: -1}, s)
+
+
+@pytest.mark.parametrize("s, g, t", [
+    (0, 1, 2),          # vertex 0's link on a is vertex 1, not 2
+    (5, 1, 0), (5, 1, -1),  # a from vertex 5 (a^2) leaves the ball
+    (0, 0, 0), (0, 3, 1), (0, -1, 3),   # not a generator
+    (-1, 1, 0), (13, 1, 0),             # not a vertex
+], ids=["other-target", "outside", "outside-to-none", "g-zero", "g-past",
+        "g-negative", "s-negative", "s-past"])
+def test_edge_id_rejects_an_edge_not_in_the_ball(z2, s, g, t):
+    # bisection alone would give a neighboring edge's id
+    presentation, rws = z2
+    ball = build_ball(presentation, rws, 2)
+    assert (ball.num_vertices, ball.edge_id(0, 1, 1)) == (13, 0)
+    with pytest.raises(ValueError, match="not in the ball"):
+        ball.edge_id(s, g, t)
+
+
+def test_ball_whose_codes_would_overflow_trips_the_cap(z2, monkeypatch):
+    # every link-slot code is below num_vertices * span, so the C ints
+    # hold a ball of at most _INT_LIMIT // span vertices; pretend they
+    # hold 50 values: 10 vertices at span 5
+    presentation, rws = z2
+    monkeypatch.setattr(complexes, "_INT_LIMIT", 50)
+    assert build_ball(presentation, rws, 1).num_vertices == 5
+    with pytest.raises(ResourceLimitError, match="cap 10"):
+        build_ball(presentation, rws, 2)
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3])
@@ -251,22 +292,54 @@ def test_walk_rejects_a_letter_outside_the_generators(z2, letter):
         word_to_edge_chain(ball, (1, letter))
 
 
-def test_s2_radius_5_ball_stays_small():
-    # one flat link table, no edge-id dict and no word -> vertex id dict:
-    # on Python 3.11 the ball holds 5.6 MB and peaks at 6.0 MB while it
-    # is built, against 7.0 and 7.7 MB with the word -> vertex id dict
-    # (14.5 MB held with per-vertex neighbor dicts and an edge-id dict)
-    presentation, rws = load("S2")
+def _traced_build(source, radius):
+    """The ball, and the bytes that tracemalloc sees it hold and peak at
+    while it is built."""
+    presentation, rws = load(source)
     rws.index_automaton
     tracemalloc.start()
     try:
-        ball = build_ball(presentation, rws, 5)
+        ball = build_ball(presentation, rws, radius)
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return ball, size, peak
+
+
+def test_s2_radius_5_ball_stays_small():
+    # arrays of C ints, with no word tuple per vertex and no triple per
+    # edge: on Python 3.11 the ball holds 1.1 MB and peaks at 2.0 MB
+    # while it is built, against 5.6 and 6.0 MB with them (7.0 and
+    # 7.7 MB with a word -> vertex id dict as well)
+    ball, size, peak = _traced_build("S2", 5)
     assert ball.num_vertices == 22289
-    assert size < 6_300_000
-    assert peak < 6_800_000
+    assert size < 1_500_000
+    assert peak < 2_600_000
+
+
+def _held_bytes(obj, seen):
+    """sys.getsizeof of obj and of every object it holds, each once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        size += sum(_held_bytes(item, seen) for item in obj)
+    elif isinstance(obj, dict):
+        size += sum(_held_bytes(item, seen) for pair in obj.items() for item in pair)
+    return size
+
+
+def test_s2_radius_6_ball_stays_small():
+    # counted object by object, since tracemalloc makes this build about
+    # 40 times slower: the arrays hold 7.5 MB on 64-bit Python, against
+    # 44 MB with a word tuple per vertex and a triple per edge
+    presentation, rws = load("S2")
+    ball = build_ball(presentation, rws, 6)
+    assert ball.num_vertices == 155577
+    assert _held_bytes(ball, set()) < 10_000_000
 
 
 def test_s2_radius_5_export_stays_small():
@@ -292,24 +365,26 @@ def test_exported_vertices_are_word_texts(source, radius):
     ball = build_ball(presentation, rws, radius)
     exported = json.loads(complex_to_json(attach_cells(ball, presentation)))
     assert exported["vertices"] == [
-        word_to_text(w, presentation.generators) for w in ball.vertices]
+        word_to_text(ball.word(v), presentation.generators)
+        for v in range(ball.num_vertices)]
 
 
 def _reference_json(complex_):
     """complex_to_json as it was through a payload dict: json.dumps of
     per-entry lists, with the vertex texts from word_to_text."""
     ball = complex_.ball
+    edges = [ball.edge(e) for e in range(ball.num_edges)]
     d1 = []
-    for e, (s, _, t) in enumerate(ball.edges):
+    for e, (s, _, t) in enumerate(edges):
         if s != t:
             d1 += sorted(([s, e, -1, 1], [t, e, 1, 1]))
     payload = {
         "radius": ball.radius,
         "generators": list(complex_.presentation.generators),
-        "vertices": [word_to_text(w, complex_.presentation.generators)
-                     for w in ball.vertices],
+        "vertices": [word_to_text(ball.word(v), complex_.presentation.generators)
+                     for v in range(ball.num_vertices)],
         "depth": list(ball.depth),
-        "edges": [list(e) for e in ball.edges],
+        "edges": [list(e) for e in edges],
         "cells": [list(c) for c in complex_.cells],
         "d1": d1,
         "d2": [[e, ci, c, 1] for ci, col in enumerate(complex_.d2)
@@ -328,9 +403,13 @@ def test_export_matches_json_dumps_of_its_payload(source, radius):
 @pytest.mark.parametrize("source, radius", list(_COMPLEX_SHA256), ids=_case_id)
 def test_json_export_survives_a_load(source, radius):
     presentation, rws = _system(source)
-    text = complex_to_json(attach_cells(build_ball(presentation, rws, radius),
-                                        presentation))
-    assert complex_to_json(complex_from_json(text, presentation)) == text
+    built = attach_cells(build_ball(presentation, rws, radius), presentation)
+    text = complex_to_json(built)
+    loaded = complex_from_json(text, presentation)
+    for f in dataclasses.fields(CayleyBall):
+        assert getattr(loaded.ball, f.name) == getattr(built.ball, f.name), f.name
+    assert (loaded.cells, loaded.d2) == (built.cells, built.d2)
+    assert complex_to_json(loaded) == text
 
 
 @pytest.mark.parametrize("source, radius", [("S2", 5), ("F2", 7)])
@@ -360,7 +439,7 @@ def test_z2_cells_by_radius(z2):
     assert attach_cells(build_ball(presentation, rws, 1), presentation).num_cells == 0
     complex_ = attach_cells(build_ball(presentation, rws, 2), presentation)
     assert complex_.num_cells == 4
-    bases = sorted(complex_.ball.vertices[v] for v, _ in complex_.cells)
+    bases = sorted(complex_.ball.word(v) for v, _ in complex_.cells)
     assert len(bases) == 4
 
 
@@ -414,7 +493,8 @@ def test_index_stability_under_radius_growth(z2):
     presentation, rws = z2
     b3 = build_ball(presentation, rws, 3)
     b4 = build_ball(presentation, rws, 4)
-    assert b4.vertices[:b3.num_vertices] == b3.vertices
+    assert b4.depth[:b3.num_vertices] == b3.depth
+    assert b4.last[:b3.num_vertices] == b3.last
     assert b4.edges[:b3.num_edges] == b3.edges
     x3 = attach_cells(b3, presentation)
     x4 = attach_cells(b4, presentation)
@@ -426,8 +506,7 @@ def test_deterministic_construction(surface):
     presentation, rws = surface
     a = attach_cells(build_ball(presentation, rws, 3), presentation)
     b = attach_cells(build_ball(presentation, rws, 3), presentation)
-    assert a.ball.vertices == b.ball.vertices
-    assert a.ball.edges == b.ball.edges
+    assert a.ball == b.ball
     assert a.cells == b.cells
     assert a.d2 == b.d2
 
@@ -493,9 +572,7 @@ def test_json_roundtrip(z2):
     complex_ = attach_cells(build_ball(presentation, rws, 2), presentation)
     text = complex_to_json(complex_)
     loaded = complex_from_json(text, presentation)
-    assert loaded.ball.vertices == complex_.ball.vertices
-    assert loaded.ball.edges == complex_.ball.edges
-    assert loaded.ball.depth == complex_.ball.depth
+    assert loaded.ball == complex_.ball
     assert loaded.cells == complex_.cells
     assert loaded.d2 == complex_.d2
 
@@ -527,6 +604,42 @@ def _repeat_a_link(data):
     data["edges"][1][1] = 1
 
 
+def _swap_words(first, second):
+    """Two vertices trade words: depths, edges, d2 and the set of
+    (irreducible) words still check out."""
+    def edit(data):
+        i, j = data["vertices"].index(first), data["vertices"].index(second)
+        data["vertices"][i], data["vertices"][j] = second, first
+    return edit
+
+
+def _shift_depths(data):
+    # every depth one more, and the radius too: the edges stay in order
+    # and each vertex is still one layer below its parent
+    data["depth"] = [d + 1 for d in data["depth"]]
+    data["radius"] += 1
+
+
+def _put_a_vertex_before_its_parent(data):
+    """Vertices 1 (a) and 5 (a^2) trade ids, with the edges re-sorted and
+    d2 and the cells following them: the same complex, but a^2 comes
+    before its parent a."""
+    assert (data["vertices"][1], data["vertices"][5]) == ("a", "a^2")
+    ids = {1: 5, 5: 1}
+    new = lambda v: ids.get(v, v)
+    for key in ("vertices", "depth"):
+        data[key][1], data[key][5] = data[key][5], data[key][1]
+    depth, old_edges = data["depth"], data["edges"]
+    edges = sorted(([new(s), g, new(t)] for s, g, t in old_edges),
+                   key=lambda e: (max(depth[e[0]], depth[e[2]]), e))
+    edge_ids = {tuple(e): i for i, e in enumerate(edges)}
+    for entry in data["d2"]:
+        s, g, t = old_edges[entry[0]]
+        entry[0] = edge_ids[new(s), g, new(t)]
+    data["cells"] = [[new(v), ri] for v, ri in data["cells"]]
+    data["edges"] = edges
+
+
 def _repeat_a_vertex_word(data):
     # vertices 1 and 2 both a: depths, edges and d2 still check out
     assert data["vertices"][1:3] == ["a", "b"]
@@ -536,6 +649,7 @@ def _repeat_a_vertex_word(data):
 @pytest.mark.parametrize("edit", [
     lambda d: d["depth"].__setitem__(1, 2),
     lambda d: d.__setitem__("radius", 1),
+    lambda d: d.__setitem__("radius", 3),
     lambda d: d["edges"][0].__setitem__(2, len(d["vertices"])),
     lambda d: d["edges"][0].__setitem__(1, 3),
     _swap_last_two_edges,
@@ -544,8 +658,15 @@ def _repeat_a_vertex_word(data):
     lambda d: d["d2"][0].__setitem__(1, len(d["cells"])),
     _flip_first_d2_sign,
     _repeat_a_vertex_word,
-], ids=["depth", "radius", "edge-endpoint", "edge-generator", "edge-order",
-        "edge-repeated-link", "d2-edge", "d2-cell", "d2-sign", "vertex-repeated"])
+    _swap_words("a b", "a b^-1"),
+    _swap_words("a b", "a^-1 b"),
+    lambda d: d["depth"].__setitem__(1, 0),
+    _shift_depths,
+    _put_a_vertex_before_its_parent,
+], ids=["depth", "radius", "radius-past-the-ball", "edge-endpoint",
+        "edge-generator", "edge-order", "edge-repeated-link", "d2-edge", "d2-cell", "d2-sign", "vertex-repeated",
+        "vertex-word-off-its-links", "vertex-prefix-off-its-links",
+        "depth-in-edge-order", "depth-shifted", "vertex-before-its-parent"])
 def test_json_rejects_inconsistent_complex(z2, edit):
     presentation, rws = z2
     text = complex_to_json(attach_cells(build_ball(presentation, rws, 2), presentation))
@@ -599,6 +720,26 @@ def test_disk_cache_rebuilds_file_of_another_radius(tmp_path, z2):
     assert rebuilt.ball.edges == built.ball.edges
     assert rebuilt.d2 == built.d2
     assert r3.read_bytes() == good
+    clear_memo()
+
+
+def test_disk_cache_rebuilds_file_of_other_normal_forms(tmp_path, z2):
+    # the free group's radius-2 ball with Z2's generators is consistent in
+    # itself, so it loads; only the normal-form check sees that its word
+    # b a reduces to a b under Z2's rules
+    from fillprobe.rewriting import RewritingSystem
+    presentation, rws = z2
+    clear_memo()
+    built = get_complex(presentation, rws, 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    free = build_ball(presentation, RewritingSystem.empty(2), 2)
+    path.write_text(complex_to_json(TwoComplex(free, presentation, [], [])))
+    assert complex_from_json(path.read_text(), presentation).ball == free
+    clear_memo()
+    rebuilt = get_complex(presentation, rws, 2, cache_dir=str(tmp_path))
+    assert rebuilt.ball == built.ball
+    assert path.read_bytes() == good
     clear_memo()
 
 

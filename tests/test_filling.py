@@ -384,11 +384,11 @@ def _loop(ball, steps):
     v, word = 0, []
     for step in steps:
         row = links[v * (2 * n + 1):(v + 1) * (2 * n + 1)]
-        letters = [x for x in range(-n, n + 1) if row[n + x] is not None]
+        letters = [x for x in range(-n, n + 1) if row[n + x] >= 0]
         x = letters[step % len(letters)]
         word.append(x)
         v = row[n + x]
-    return word_to_edge_chain(ball, tuple(word) + inverse_word(ball.vertices[v]))
+    return word_to_edge_chain(ball, tuple(word) + inverse_word(ball.word(v)))
 
 
 _STEPS = st.lists(st.integers(min_value=0, max_value=7), max_size=12)

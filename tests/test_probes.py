@@ -177,7 +177,7 @@ def _largest_folner_ratio(ball, radius):
     best = Q(0)
     for mask in range(1, 2 ** len(interior)):
         inside = {v for k, v in enumerate(interior) if mask >> k & 1}
-        crossing = sum(1 for s, _, t in ball.edges
+        crossing = sum(1 for s, _, t in map(ball.edge, range(ball.num_edges))
                        if (s in inside) != (t in inside))
         if crossing == 0:
             return None
