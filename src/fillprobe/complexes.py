@@ -44,8 +44,6 @@ from .rewriting import RewritingSystem
 
 DEFAULT_VERTEX_CAP = 200_000
 DEFAULT_WALK_CAP = 1_000_000
-# a C int holds every code and vertex id below this
-_INT_LIMIT = 2 ** (8 * array("i").itemsize - 1)
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,8 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     the bucket of its layer (the larger depth of its ends) when its link
     is made; edges are ordered by (layer, code).  Requires a confluent
     rewriting system; aborts with a resource error if the vertex cap is
-    exceeded, or if a link-slot code would not fit in a C int.
+    exceeded.  A link-slot code past the range of a C int makes the
+    array raise OverflowError; it never wraps.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
@@ -209,8 +208,6 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     bipartite = all((len(lhs) - len(rhs)) % 2 == 0 for lhs, rhs in rws.rules)
 
     span = 2 * ngens + 1
-    # every code and vertex id is below num_vertices * span
-    cap = min(vertex_cap, _INT_LIMIT // span)
     blank = array("i", [-1]) * span
     depth, last, links, state = array("i", [0]), array("i", [0]), blank[:], [0]
     ball = CayleyBall(radius, ngens, depth, last, links, array("i"), [0])
@@ -241,8 +238,9 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                 if not inner:
                     continue
                 t = len(depth)
-                if t >= cap:
-                    raise ResourceLimitError(f"ball exceeds vertex cap {cap}", limit=cap)
+                if t >= vertex_cap:
+                    raise ResourceLimitError(
+                        f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
                 depth.append(d + 1)
                 last.append(y)
                 state.append(goto[state[p]][y])

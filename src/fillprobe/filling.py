@@ -81,12 +81,10 @@ def _cotree_edges(ball, row_edges):
             parent[v], v = root, parent[v]
         return root
 
-    edges, links, span = ball.edges, ball.links, ball.span
     cotree = []
     for e in row_edges:
-        # edge e runs from edges[e] // span to links[edges[e]]
-        code = edges[e]
-        rs, rt = find(code // span), find(links[code])
+        s, _, t = ball.edge(e)
+        rs, rt = find(s), find(t)
         if rs == rt:
             cotree.append(e)
         else:

@@ -7,7 +7,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillprobe import complexes
 from fillprobe.catalog import CATALOG, load
 from fillprobe.complexes import (
     CayleyBall,
@@ -271,17 +270,6 @@ def test_edge_id_rejects_an_edge_not_in_the_ball(z2, s, g, t):
         ball.edge_id(s, g, t)
 
 
-def test_ball_whose_codes_would_overflow_trips_the_cap(z2, monkeypatch):
-    # every link-slot code is below num_vertices * span, so the C ints
-    # hold a ball of at most _INT_LIMIT // span vertices; pretend they
-    # hold 50 values: 10 vertices at span 5
-    presentation, rws = z2
-    monkeypatch.setattr(complexes, "_INT_LIMIT", 50)
-    assert build_ball(presentation, rws, 1).num_vertices == 5
-    with pytest.raises(ResourceLimitError, match="cap 10"):
-        build_ball(presentation, rws, 2)
-
-
 @pytest.mark.parametrize("letter", [0, 3, -3])
 def test_walk_rejects_a_letter_outside_the_generators(z2, letter):
     # without the check, a letter past +-ngens reads a slot of the next
@@ -496,6 +484,10 @@ def test_index_stability_under_radius_growth(z2):
     assert b4.depth[:b3.num_vertices] == b3.depth
     assert b4.last[:b3.num_vertices] == b3.last
     assert b4.edges[:b3.num_edges] == b3.edges
+    assert ([b4.word(v) for v in range(b3.num_vertices)]
+            == [b3.word(v) for v in range(b3.num_vertices)])
+    assert ([b4.edge(e) for e in range(b3.num_edges)]
+            == [b3.edge(e) for e in range(b3.num_edges)])
     x3 = attach_cells(b3, presentation)
     x4 = attach_cells(b4, presentation)
     assert x4.cells[:x3.num_cells] == x3.cells
