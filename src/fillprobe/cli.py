@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--walk-cap", type=int, default=DEFAULT_WALK_CAP,
                         help="abort circuit enumeration beyond this many steps")
     parser.add_argument("--radius-cap", type=int, default=None,
-                        help="largest ball radius any escalation may reach")
+                        help="top of fill's radius window; fv and probe echo it "
+                             "in the report's config without applying it")
     parser.add_argument("--kb-max-rules", type=int, default=DEFAULT_MAX_RULES,
                         help="completion budget: maximum rule count")
     parser.add_argument("--kb-max-len", type=int, default=DEFAULT_MAX_LEN,
@@ -106,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="path prefix for report files (JSON and CSV)")
     parser.add_argument("--cache-dir", default=None,
-                        help="complex cache directory (default: $FILLPROBE_CACHE_DIR)")
+                        help="complex cache directory (default: $FILLPROBE_CACHE_DIR); "
+                             "a file is reused only when it is byte-identical to "
+                             "a fresh build's export, and rewritten otherwise")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

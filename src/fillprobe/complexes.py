@@ -37,8 +37,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .errors import IncompleteSystemError, PresentationSyntaxError, ResourceLimitError
-from .presentation import GroupPresentation, Word, parse_word
+from .errors import IncompleteSystemError, ResourceLimitError
+from .presentation import GroupPresentation, Word
 from .rationals import Q
 from .rewriting import RewritingSystem
 
@@ -481,95 +481,17 @@ def complex_to_json(complex_: TwoComplex) -> str:
         "}"))
 
 
-def complex_from_json(text: str, presentation: GroupPresentation) -> TwoComplex:
-    """Load ``complex_to_json`` output.  A file that is well-formed but
-    inconsistent raises ValueError: a vertex word that does not parse, a
-    depth outside 0..radius, an edge or a d2 entry naming a missing
-    vertex, edge or cell, edges out of (layer, source, generator,
-    target) order or two of them on one link, a vertex whose parent (its
-    link on -x for its word's last letter x) does not come before it or
-    is not one layer shallower (normal forms are geodesic), a vertex
-    inside the radius without all of its neighbors, vertex words other
-    than their parents' words followed by their last letters, as
-    ``word_to_text`` writes them, or d1 d2 != 0.  So vertex 0's word is
-    empty and no word repeats.  ``d1`` is not read: the edges give it."""
-    data = json.loads(text)
-    data.pop("d1", None)
-    gens = presentation.generators
-    if list(data["generators"]) != list(gens):
-        raise ValueError("cached complex belongs to a different presentation")
-    texts = data.pop("vertices")
-    finals: dict = {}       # token -> its last letter; a ball repeats few tokens
-    last = array("i", [0])
-    try:
-        for vertex_text in texts[1:]:
-            token = str.rpartition(vertex_text, " ")[2]
-            x = finals.get(token)
-            if x is None:
-                letters = parse_word(token, gens)
-                x = finals[token] = letters[-1] if letters else 0
-            last.append(x)
-    except PresentationSyntaxError as exc:
-        raise ValueError(f"bad vertex word: {exc}") from exc
-    depth = data.pop("depth")
-    radius = data["radius"]
-    nv, ngens = len(texts), len(gens)
-    if len(depth) != nv or not nv or depth[0] != 0:
-        raise ValueError("the depths are not one per vertex, starting at 0")
-    # checked before the conversion to C ints, which could overflow
-    if min(depth) < 0 or max(depth) > radius:
-        raise ValueError("a vertex depth is outside 0..radius")
-    depth = array("i", depth)
-    span = 2 * ngens + 1
-    links, edges = array("i", [-1]) * (nv * span), array("i")
-    sizes = [0] * (radius + 1)
-    prev = ()
-    for s, g, t in data.pop("edges"):
-        if not (0 <= s < nv and 0 <= t < nv and 1 <= g <= ngens):
-            raise ValueError(f"edge {(s, g, t)} is out of range")
-        layer = depth[s] if depth[s] > depth[t] else depth[t]
-        code = s * span + ngens + g
-        if (layer, code) <= prev:
-            raise ValueError(f"edge {(s, g, t)} is out of (layer, source, "
-                             "generator, target) order")
-        prev = (layer, code)
-        sizes[layer] += 1
-        edges.append(code)
-        links[code] = t
-        links[t * span + ngens - g] = s
-    # each edge fills two slots; a repeated link would fill one twice
-    if nv * span - links.count(-1) != 2 * len(edges):
-        raise ValueError("two edges share a vertex's link on one letter")
-    for v in range(1, nv):
-        x = last[v]
-        p = links[v * span + ngens - x]
-        if not (x and 0 <= p < v and depth[v] == depth[p] + 1):
-            raise ValueError(f"vertex {v} has no parent link one layer "
-                             "shallower and before it")
-    # a ball holds every neighbor of a vertex inside its radius: only
-    # the unused slot of x = 0 is unset
-    for v in range(nv):
-        if depth[v] < radius and links[v * span:v * span + span].count(-1) > 1:
-            raise ValueError(f"vertex {v} lies inside the radius but lacks "
-                             "a neighbor")
-    starts = [0]
-    for size in sizes:
-        starts.append(starts[-1] + size)
-    ball = CayleyBall(radius, ngens, depth, last, links, edges, starts)
-    if _vertex_texts(ball, gens) != texts:
-        raise ValueError("a vertex word is not its parent link's word "
-                         "followed by its last letter")
-    cells = [tuple(c) for c in data["cells"]]
-    d2 = [dict() for _ in cells]
-    for e, ci, num, den in data["d2"]:
-        if den != 1:
-            raise ValueError("boundary coefficients must be integral")
-        if not (0 <= e < len(edges) and 0 <= ci < len(cells)):
-            raise ValueError(f"d2 entry {(e, ci)} is out of range")
-        d2[ci][e] = num
-    complex_ = TwoComplex(ball, presentation, cells, d2)
-    if not d1_composed_with_d2_is_zero(complex_):
-        raise ValueError("cached boundary maps do not compose to zero")
+def complex_from_json(text: str, presentation: GroupPresentation, rws: RewritingSystem,
+                      radius: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> TwoComplex:
+    """The complex at ``radius`` whose export is ``text``.  Export bytes
+    are canonical, so the complex is built (under ``vertex_cap``) and
+    returned only when ``complex_to_json`` of it equals ``text`` byte for
+    byte; any other text raises ValueError.  No field of ``text`` is
+    parsed, so none of it is trusted."""
+    complex_ = attach_cells(build_ball(presentation, rws, radius, vertex_cap=vertex_cap),
+                            presentation)
+    if complex_to_json(complex_) != text:
+        raise ValueError(f"text is not the export of this system's radius-{radius} complex")
     return complex_
 
 
@@ -596,24 +518,6 @@ def _cache_key(presentation: GroupPresentation, rws: RewritingSystem, radius: in
     return f"{digest}_r{radius}"
 
 
-def _holds_normal_forms(ball: CayleyBall, rws: RewritingSystem) -> bool:
-    """Whether the vertex words, distinct in a loaded ball, are
-    irreducible, which under a confluent system means they are the
-    normal forms.  A vertex's automaton state is its parent's state
-    after its last letter, and a parent comes before its child, so this
-    is one pass over the vertices."""
-    goto, terminal = rws.index_automaton.goto, rws.index_automaton.terminal
-    links, last, ngens, span = ball.links, ball.last, ball.ngens, ball.span
-    state = [0]
-    for v in range(1, ball.num_vertices):
-        x = last[v]
-        s = goto[state[links[v * span + ngens - x]]][x]
-        if terminal[s]:
-            return False
-        state.append(s)
-    return True
-
-
 def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: int,
                 *, vertex_cap: int = DEFAULT_VERTEX_CAP,
                 cache_dir: str | None = None) -> TwoComplex:
@@ -621,10 +525,11 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
 
     In-process memoization always applies; if ``cache_dir`` (or the
     FILLPROBE_CACHE_DIR environment variable) is set, complexes are also
-    persisted as coordinate-form JSON.  Files are replaced atomically, and
-    a file that does not load (e.g. truncated), is inconsistent (see
-    ``complex_from_json``), holds another radius, or has a vertex word
-    that is reducible or repeated is rebuilt and rewritten.
+    persisted as their coordinate-form JSON export.  A file is reused
+    only when it is byte-identical to the export of a fresh build (see
+    ``complex_from_json``), so a warm load costs a build and one export;
+    any other file (truncated, edited, or of another radius or system)
+    is rebuilt and rewritten.  Files are replaced atomically.
     """
     key = _cache_key(presentation, rws, radius)
     complex_ = _MEMO.get(key)
@@ -634,12 +539,9 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
         if path and os.path.exists(path):
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    complex_ = complex_from_json(fh.read(), presentation)
-            except (ValueError, KeyError, TypeError, IndexError):
-                complex_ = None
-            if complex_ is not None and (
-                    complex_.ball.radius != radius
-                    or not _holds_normal_forms(complex_.ball, rws)):
+                    complex_ = complex_from_json(fh.read(), presentation, rws, radius,
+                                                 vertex_cap=vertex_cap)
+            except ValueError:
                 complex_ = None
         if complex_ is None:
             ball = build_ball(presentation, rws, radius, vertex_cap=vertex_cap)

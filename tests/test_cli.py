@@ -447,6 +447,20 @@ def test_cache_dir_rebuilds_inconsistent_file(tmp_path, capsys):
     _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, flip_first_d2_sign)
 
 
+def test_cache_dir_rebuilds_file_with_another_cycle_for_a_cell(tmp_path, capsys):
+    # cell 0's column replaced by the sum of cells 0 and 1's columns:
+    # still a cycle, so d1 d2 = 0, but not the complex the system gives
+    def replace_first_d2_column(data):
+        col = {}
+        for e, ci, c, _ in data["d2"]:
+            if ci < 2:
+                col[e] = col.get(e, 0) + c
+        data["d2"] = sorted([[e, 0, c, 1] for e, c in col.items() if c]
+                            + [entry for entry in data["d2"] if entry[1]],
+                            key=lambda entry: (entry[1], entry[0]))
+    _assert_edited_cache_file_is_rebuilt(tmp_path, capsys, replace_first_d2_column)
+
+
 def test_cache_dir_rebuilds_file_with_edges_out_of_order(tmp_path, capsys):
     # the same complex with its last two edges swapped, d2 following
     # them: edge ids are found by bisection, which needs the edge order

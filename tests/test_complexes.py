@@ -244,7 +244,7 @@ def test_edge_ids_match_a_dict_of_edges(source, radius):
     vertices, _, edges, _, _ = _reference_ball(presentation, rws, radius)
     text = complex_to_json(attach_cells(ball, presentation))
     ids = {(s, g): i for i, (s, g, _) in enumerate(edges)}
-    for b in (ball, complex_from_json(text, presentation).ball):
+    for b in (ball, complex_from_json(text, presentation, rws, radius).ball):
         assert [b.word(v) for v in range(b.num_vertices)] == vertices
         assert [b.edge(e) for e in range(b.num_edges)] == edges
         for s, g, t in edges:
@@ -393,7 +393,7 @@ def test_json_export_survives_a_load(source, radius):
     presentation, rws = _system(source)
     built = attach_cells(build_ball(presentation, rws, radius), presentation)
     text = complex_to_json(built)
-    loaded = complex_from_json(text, presentation)
+    loaded = complex_from_json(text, presentation, rws, radius)
     for f in dataclasses.fields(CayleyBall):
         assert getattr(loaded.ball, f.name) == getattr(built.ball, f.name), f.name
     assert (loaded.cells, loaded.d2) == (built.cells, built.d2)
@@ -563,7 +563,7 @@ def test_json_roundtrip(z2):
     presentation, rws = z2
     complex_ = attach_cells(build_ball(presentation, rws, 2), presentation)
     text = complex_to_json(complex_)
-    loaded = complex_from_json(text, presentation)
+    loaded = complex_from_json(text, presentation, rws, 2)
     assert loaded.ball == complex_.ball
     assert loaded.cells == complex_.cells
     assert loaded.d2 == complex_.d2
@@ -632,6 +632,18 @@ def _put_a_vertex_before_its_parent(data):
     data["edges"] = edges
 
 
+def _replace_first_d2_column_by_another_cycle(data):
+    """Cell 0's column becomes the sum of cells 0 and 1's columns: still
+    a cycle, so d1 d2 = 0 holds, but not cell 0's boundary."""
+    col: dict = {}
+    for e, ci, c, _ in data["d2"]:
+        if ci < 2:
+            col[e] = col.get(e, 0) + c
+    data["d2"] = sorted([[e, 0, c, 1] for e, c in col.items() if c]
+                        + [entry for entry in data["d2"] if entry[1]],
+                        key=lambda entry: (entry[1], entry[0]))
+
+
 def _repeat_a_vertex_word(data):
     # vertices 1 and 2 both a: depths, edges and d2 still check out
     assert data["vertices"][1:3] == ["a", "b"]
@@ -655,16 +667,19 @@ def _repeat_a_vertex_word(data):
     lambda d: d["depth"].__setitem__(1, 0),
     _shift_depths,
     _put_a_vertex_before_its_parent,
+    _replace_first_d2_column_by_another_cycle,
+    lambda d: d["cells"][0].__setitem__(0, 10**6),
 ], ids=["depth", "radius", "radius-past-the-ball", "edge-endpoint",
         "edge-generator", "edge-order", "edge-repeated-link", "d2-edge", "d2-cell", "d2-sign", "vertex-repeated",
         "vertex-word-off-its-links", "vertex-prefix-off-its-links",
-        "depth-in-edge-order", "depth-shifted", "vertex-before-its-parent"])
+        "depth-in-edge-order", "depth-shifted", "vertex-before-its-parent",
+        "d2-column-replaced-by-another-cycle", "cell-base-out-of-range"])
 def test_json_rejects_inconsistent_complex(z2, edit):
     presentation, rws = z2
     text = complex_to_json(attach_cells(build_ball(presentation, rws, 2), presentation))
-    complex_from_json(text, presentation)
+    complex_from_json(text, presentation, rws, 2)
     with pytest.raises(ValueError):
-        complex_from_json(_corrupt(text, edit), presentation)
+        complex_from_json(_corrupt(text, edit), presentation, rws, 2)
 
 
 def test_disk_cache(tmp_path, z2):
@@ -717,8 +732,8 @@ def test_disk_cache_rebuilds_file_of_another_radius(tmp_path, z2):
 
 def test_disk_cache_rebuilds_file_of_other_normal_forms(tmp_path, z2):
     # the free group's radius-2 ball with Z2's generators is consistent in
-    # itself, so it loads; only the normal-form check sees that its word
-    # b a reduces to a b under Z2's rules
+    # itself, but it is not the export of Z2's ball, where b a reduces to
+    # a b
     from fillprobe.rewriting import RewritingSystem
     presentation, rws = z2
     clear_memo()
@@ -727,7 +742,8 @@ def test_disk_cache_rebuilds_file_of_other_normal_forms(tmp_path, z2):
     good = path.read_bytes()
     free = build_ball(presentation, RewritingSystem.empty(2), 2)
     path.write_text(complex_to_json(TwoComplex(free, presentation, [], [])))
-    assert complex_from_json(path.read_text(), presentation).ball == free
+    with pytest.raises(ValueError):
+        complex_from_json(path.read_text(), presentation, rws, 2)
     clear_memo()
     rebuilt = get_complex(presentation, rws, 2, cache_dir=str(tmp_path))
     assert rebuilt.ball == built.ball
