@@ -21,6 +21,12 @@ CASES = {
                               "--radius", "2"],
     "fill_z3_commutator_r3": ["--radius-cap", "4", "fill", "Z3", "a b c a^-1 b^-1 c^-1",
                               "--radius", "3"],
+    # the default fill window; CI compares the console script's stdout
+    # with this file
+    "fill_z2_commutator": ["fill", "Z2", "a b a^-1 b^-1"],
+    # filling-lp's fill-s2-r4 job
+    "fill_s2_r4": ["--radius-cap", "5", "fill", "S2", "a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1",
+                   "--radius", "4"],
     "probe_amenable_f2": ["probe", "amenable", "F2", "--radii", "2,3"],
     "probe_hyperbolic_z2_k6": ["probe", "hyperbolic", "Z2", "--k-max", "6"],
     "probe_hyperbolic_z2_k10": ["probe", "hyperbolic", "Z2", "--k-max", "10"],
