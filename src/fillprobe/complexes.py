@@ -273,10 +273,32 @@ class TwoComplex:
     # optimal rational filling LPs solved on this complex, keyed by the
     # boundary's entries; the integral norm's branch and bound starts here
     relaxations: dict = field(default_factory=dict, repr=False, compare=False)
+    _collapses: object = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def num_cells(self) -> int:
         return len(self.cells)
+
+    def collapses(self) -> list | None:
+        """(cell, free edge) pairs of a complete collapse: each edge meets
+        its cell and no later pair's cell.  None when some cell never gets
+        a free edge.  Computed on the first call and kept."""
+        if self._collapses is False:
+            left, ids = {}, {}      # per edge: cells left on it, sum of their ids
+            for ci, col in enumerate(self.d2):
+                for e in col:
+                    left[e], ids[e] = left.get(e, 0) + 1, ids.get(e, 0) + ci
+            free, order = [e for e, n in left.items() if n == 1], []
+            while free:
+                e = free.pop()
+                if left[e] == 1:
+                    order.append((ci := ids[e], e))
+                    for f in self.d2[ci]:
+                        left[f], ids[f] = left[f] - 1, ids[f] - ci
+                        if left[f] == 1:
+                            free.append(f)
+            self._collapses = order if len(order) == len(self.d2) else None
+        return self._collapses
 
     def apply_d2(self, chain: Chain) -> Chain:
         if chain.dimension != 2:

@@ -5,7 +5,10 @@ The rational norm is the linear program
     min sum(a+ + a-)   s.t.   d2 (a+ - a-) = b,   a+, a- >= 0,
 
 whose optimum at a basic solution is automatically rational; the
-integral norm solves the same program with integrality imposed.  Values
+integral norm solves the same program with integrality imposed.  When
+the cells collapse completely (every Z2 and S2 ball checked, Z3 through
+radius 2), d2 is injective and the one filling is found by substitution
+along the collapse order instead; the simplex solves the rest.  Values
 computed in a ball are exact for the truncated complex and upper bounds
 for the full complex; certificates carry that distinction explicitly
 and never claim global exactness.
@@ -63,7 +66,12 @@ def _require_cycle(b: Chain, complex_: TwoComplex):
         raise NotACycleError("expected a 1-chain")
     if b.entries and max(b.entries) >= complex_.ball.num_edges:
         raise NotACycleError("chain indexes edges outside this complex")
-    if not complex_.apply_d1(b).is_zero():
+    at: dict = {}           # d1 b, vertex by vertex
+    for e, coeff in b.entries.items():
+        s, _, t = complex_.ball.edge(e)
+        at[s] = at.get(s, 0) - coeff
+        at[t] = at.get(t, 0) + coeff
+    if any(at.values()):
         raise NotACycleError("chain is not a cycle (nonzero boundary)")
 
 
@@ -103,9 +111,7 @@ def _filling_program(b: Chain, complex_: TwoComplex):
     d1 d2 = 0 and b is a cycle; a forest carries no nonzero cycle, so
     the residual is 0.  The feasible set and the optimum are those of
     the program with every active row."""
-    covered = set()
-    for col in complex_.d2:
-        covered.update(col)
+    covered = set().union(*complex_.d2)
     if any(e not in covered for e in b.entries):
         return None
     cotree = _cotree_edges(complex_.ball, sorted(covered))
@@ -126,6 +132,28 @@ def _filling_program(b: Chain, complex_: TwoComplex):
             rhs[i] = coeff
     objective = [1] * (2 * nc)
     return LinearProgram(2 * nc, rows, rhs, objective)
+
+
+def _collapse_certificate(b: Chain, complex_: TwoComplex, ring: str):
+    """The one filling of b, by substitution along the collapse order (a
+    pair's edge meets no later cell, so its residual is final when its
+    cell is reached); for Z it is the only candidate."""
+    residual, c = dict(b.entries), {}
+    for ci, e in complex_.collapses():
+        if residual.get(e):
+            col = complex_.d2[ci]
+            c[ci] = x = residual[e] / col[e]
+            for f, inc in col.items():
+                residual[f] = residual.get(f, 0) - x * inc
+    witness = Chain(2, c)
+    if any(residual.values()) or (ring == RING_Z and not witness.is_integral()):
+        covered = set().union(*complex_.d2)
+        raise NotABoundaryError(
+            "no filling within this ball (uncovered edge)"
+            if any(e not in covered for e in b.entries) else
+            "no integral filling within this ball" if ring == RING_Z else
+            "no filling within this ball")
+    return _certificate(b, complex_, ring, witness.l1(), witness)
 
 
 def _witness_chain(witness: dict) -> Chain:
@@ -158,6 +186,8 @@ def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     _require_cycle(b, complex_)
     if b.is_zero():
         return _certificate(b, complex_, RING_Q, Q(0), Chain(2, {}))
+    if complex_.collapses() is not None:
+        return _collapse_certificate(b, complex_, RING_Q)
     lp = _filling_program(b, complex_)
     if lp is None:
         raise NotABoundaryError("no filling within this ball (uncovered edge)")
@@ -177,6 +207,8 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         raise NotACycleError("integral norm needs an integral boundary")
     if b.is_zero():
         return _certificate(b, complex_, RING_Z, Q(0), Chain(2, {}))
+    if complex_.collapses() is not None and node_budget >= 1:
+        return _collapse_certificate(b, complex_, RING_Z)
     # the rational optimum that filling_norm_q found in this ball is
     # branch and bound's root node; where it is integral, it is the answer
     result = complex_.relaxations.get(frozenset(b.entries.items()))

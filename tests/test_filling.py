@@ -1,11 +1,19 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fillprobe import exactlp, filling
-from fillprobe.complexes import Chain, attach_cells, build_ball, get_complex, word_to_edge_chain
-from fillprobe.errors import NotABoundaryError, NotACycleError
+from fillprobe.complexes import (
+    Chain,
+    TwoComplex,
+    attach_cells,
+    build_ball,
+    get_complex,
+    word_to_edge_chain,
+)
+from fillprobe.errors import NodeBudgetError, NotABoundaryError, NotACycleError
 from fillprobe.exactlp import LinearProgram, LPStatus, solve_lp
 from fillprobe.filling import (
     filling_norm_q,
@@ -420,3 +428,215 @@ def test_forest_rows_dropped_keep_status_and_value(ball_key, steps1, steps2,
         # the dropped rows hold at the reduced program's optimum
         witness = filling._witness_chain(got.witness)
         assert (complex_.apply_d2(witness) + (-b)).is_zero()
+
+
+# --- the collapse path -------------------------------------------------
+
+def _simplex_reference(b, complex_):
+    """The filling program solved by the simplex: (value, witness), or
+    the text of the error that says b has no filling in the ball."""
+    lp = filling._filling_program(b, complex_)
+    if lp is None:
+        return "no filling within this ball (uncovered edge)"
+    result = solve_lp(lp)
+    if result.status is LPStatus.INFEASIBLE:
+        return "no filling within this ball"
+    return result.value, filling._witness_chain(result.witness)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _dual_from_order(complex_, order, c):
+    """A 1-cochain f read off the collapse order, walking it backwards:
+    f on a pair's edge makes <f, d sigma> = sign(c_sigma) on its cell.
+    f is zero off the pairs' edges."""
+    f: dict = {}
+    for cell, e in reversed(order):
+        col = complex_.d2[cell]
+        rest = sum(f.get(g, 0) * inc for g, inc in col.items() if g != e)
+        f[e] = (_sign(c.entries.get(cell, 0)) - Q(rest)) / col[e]
+    return f
+
+
+def _is_lower_bound_witness(complex_, f, b, value):
+    """||delta f||_inf <= 1 and <f, b> = value: then no filling of b in
+    the ball has l1 mass below value."""
+    pairing = lambda chain: sum(f.get(e, 0) * v for e, v in chain.items())  # noqa: E731
+    return all(abs(pairing(col)) <= 1 for col in complex_.d2) \
+        and pairing(b.entries) == value
+
+
+def _boundaries(complex_, seed):
+    """Cell boundaries, sums of a few of them, and closed walks (some of
+    which bound nothing in the ball)."""
+    rng, n = random.Random(seed), complex_.num_cells
+    out = [Chain(1, col) for col in complex_.d2[:4]]
+    for _ in range(6):
+        if n:
+            coeffs = {c: Q(rng.randint(-3, 3)) for c in rng.sample(range(n), min(n, 3))}
+            out.append(complex_.apply_d2(Chain(2, coeffs)))
+        out.append(_loop(complex_.ball, [rng.randrange(8) for _ in range(8)]))
+    return [b for b in out if not b.is_zero()]
+
+
+def _collapsible_cases():
+    """The complexes with cells of test_complexes' ball cases and of
+    this module's differential balls that collapse completely."""
+    from test_complexes import _BALL_CASES, _system
+    cases = []
+    for source, radius in _BALL_CASES:
+        presentation, rws = _system(source)
+        cases.append(attach_cells(build_ball(presentation, rws, radius), presentation))
+    cases += [_differential_complex(*key) for key in _DIFFERENTIAL_BALLS]
+    return [c for c in cases if c.num_cells and c.collapses() is not None]
+
+
+def test_collapse_matches_simplex():
+    cases = _collapsible_cases()
+    # ball cases: S2 r4 and r5, Z2 r9, a,b|a r1-3, S3 r2, a,b|a^2 r1-3
+    # and a,b|ab r3; differential balls: all but Z2 x Z2 with its
+    # commutator cells
+    assert len(cases) == 11 + 9
+    for index, complex_ in enumerate(cases):
+        order = complex_.collapses()
+        assert sorted(cell for cell, _ in order) == list(range(complex_.num_cells))
+        for b in _boundaries(complex_, index):
+            want = _simplex_reference(b, complex_)
+            if isinstance(want, str):
+                with pytest.raises(NotABoundaryError, match=rf"^{re.escape(want)}$"):
+                    filling_norm_q(b, complex_)
+                continue
+            cert = filling_norm_q(b, complex_)
+            assert (cert.value, cert.witness) == want
+            assert _is_lower_bound_witness(
+                complex_, _dual_from_order(complex_, order, cert.witness), b, cert.value)
+
+
+_COLLAPSIBLE = [("Z2", 2), ("Z2", 3), ("Z3", 2), ("S2", 4), ("a, b | a b", 3)]
+
+
+@given(st.sampled_from(_COLLAPSIBLE), st.lists(
+    st.tuples(st.integers(min_value=0), st.integers(-3, 3)), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_collapse_recovers_the_chain_it_bounds(key, entries):
+    complex_ = _differential_complex(*key, None)
+    c = Chain(2, {cell % complex_.num_cells: Q(v) for cell, v in entries})
+    b = complex_.apply_d2(c)
+    assert b.is_zero() == c.is_zero()    # d2 is injective
+    if c.is_zero():
+        return
+    for cert in (filling_norm_q(b, complex_), filling_norm_z(b, complex_)):
+        assert cert.witness == c and cert.value == c.l1()
+    f = _dual_from_order(complex_, complex_.collapses(), c)
+    assert _is_lower_bound_witness(complex_, f, b, c.l1())
+
+
+def test_lower_bound_witness_rejects_mutants(z2):
+    presentation, rws = z2
+    complex_ = get_complex(presentation, rws, 4)
+    order = complex_.collapses()
+    loop = word_to_edge_chain(complex_.ball, presentation.word("a^2 b^2 a^-2 b^-2"))
+    cert = filling_norm_q(loop, complex_)
+    f = _dual_from_order(complex_, order, cert.witness)
+    assert _is_lower_bound_witness(complex_, f, loop, cert.value)
+    swapped = [order[-1], *order[1:-1], order[0]]
+    assert not _is_lower_bound_witness(
+        complex_, _dual_from_order(complex_, swapped, cert.witness), loop, cert.value)
+    # f on the free edge of a cell that the filling uses
+    e = next(e for cell, e in order if cell in cert.witness.entries)
+    assert not _is_lower_bound_witness(complex_, {**f, e: f[e] + 2}, loop, cert.value)
+
+
+def test_cube_ball_has_no_collapse_order_and_uses_the_simplex(z3, monkeypatch):
+    presentation, rws = z3
+    complex_ = attach_cells(build_ball(presentation, rws, 3), presentation)
+    assert complex_.collapses() is None
+    calls = []
+    solve = filling.solve_lp
+    monkeypatch.setattr(filling, "solve_lp", lambda lp: calls.append(lp) or solve(lp))
+    loop = word_to_edge_chain(complex_.ball, presentation.word("a b c a^-1 b^-1 c^-1"))
+    assert filling_norm_q(loop, complex_).value == 3
+    assert len(calls) == 1
+
+
+def test_collapsible_ball_never_calls_the_simplex(z2, monkeypatch):
+    presentation, rws = z2
+    complex_ = attach_cells(build_ball(presentation, rws, 3), presentation)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simplex ran on a collapsible complex")
+
+    monkeypatch.setattr(filling, "solve_lp", refuse)
+    monkeypatch.setattr(filling, "solve_ilp", refuse)
+    for word in ("a b a^-1 b^-1", "a^2 b a^-2 b^-1", "a b^-2 a^-1 b^2", "a^-1 b a b^-1"):
+        loop = word_to_edge_chain(complex_.ball, presentation.word(word)).scaled(3)
+        assert filling_norm_q(loop, complex_).value == filling_norm_z(loop, complex_).value
+
+
+def _variant(complex_, d2):
+    """``complex_``'s ball with other cell columns, and the same complex
+    with its collapse order hidden, so that it takes the simplex path."""
+    cells = [(0, 0)] * len(d2)
+    collapsed = TwoComplex(complex_.ball, complex_.presentation, cells, d2)
+    simplex = TwoComplex(complex_.ball, complex_.presentation, cells, d2)
+    simplex._collapses = None
+    assert collapsed.collapses() is not None
+    return collapsed, simplex
+
+
+def _error_text(norm, b, complex_):
+    with pytest.raises(NotABoundaryError) as info:
+        norm(b, complex_)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind, q_text, z_text", [
+    # one cell dropped: its outer edges meet no cell
+    ("uncovered", "no filling within this ball (uncovered edge)",
+     "no filling within this ball (uncovered edge)"),
+    # columns d sigma_0 + d sigma_k: every edge of sigma_0 is covered,
+    # but d sigma_0 is not in their span
+    ("not-in-span", "no filling within this ball", "no integral filling within this ball"),
+    # the first column doubled: the one filling is half of it
+    ("fractional", None, "no integral filling within this ball"),
+])
+def test_collapse_path_error_texts(z2_r2, z2_square, kind, q_text, z_text):
+    d2 = z2_r2.d2
+    assert z2_square == Chain(1, d2[0])
+    if kind == "uncovered":
+        columns = d2[1:]
+    elif kind == "not-in-span":
+        columns = [{e: d2[0].get(e, 0) + d2[k].get(e, 0) for e in {*d2[0], *d2[k]}}
+                   for k in (1, 2, 3)]
+        columns = [{e: v for e, v in col.items() if v} for col in columns]
+    else:
+        columns = [{e: 2 * v for e, v in d2[0].items()}, *d2[1:]]
+    collapsed, simplex = _variant(z2_r2, columns)
+    for complex_ in (collapsed, simplex):
+        if q_text is None:
+            cert = filling_norm_q(z2_square, complex_)
+            assert cert.value == Q(1, 2) and cert.witness == Chain(2, {0: Q(1, 2)})
+        else:
+            assert _error_text(filling_norm_q, z2_square, complex_) == q_text
+    assert _error_text(filling_norm_z, z2_square, collapsed) == z_text
+    # branch and bound does not close the fractional case: a+ - a- = 1/2
+    # keeps a fractional point under every bound, so it runs out of nodes
+    if q_text is not None:
+        assert _error_text(filling_norm_z, z2_square, simplex) == z_text
+
+
+def test_zero_node_budget_still_raises(z2_r2, z2_square):
+    assert z2_r2.collapses() is not None
+    with pytest.raises(NodeBudgetError):
+        filling_norm_z(z2_square, z2_r2, node_budget=0)
+
+
+def test_cycle_check_texts(z2_r2):
+    with pytest.raises(NotACycleError, match="expected a 1-chain"):
+        filling_norm_q(Chain(2, {0: Q(1)}), z2_r2)
+    with pytest.raises(NotACycleError, match="outside this complex"):
+        filling_norm_q(Chain(1, {z2_r2.ball.num_edges: Q(1)}), z2_r2)
+    with pytest.raises(NotACycleError, match="nonzero boundary"):
+        filling_norm_q(Chain(1, {0: Q(1)}), z2_r2)

@@ -270,14 +270,16 @@ def _unpruned_fv(presentation, rws, k_max, mode, seed, cfg, margin):
     return table, capped
 
 
-def _count_lp_solves(monkeypatch):
-    calls, solve = [], filling.solve_lp
+def _count_norm_q_solves(monkeypatch):
+    """Record every rational filling program solved, whether by the
+    simplex or along a collapse order."""
+    calls, solve = [], filling.filling_norm_q
 
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
+    def counting(b, complex_):
+        calls.append(b)
+        return solve(b, complex_)
 
-    monkeypatch.setattr(filling, "solve_lp", counting)
+    monkeypatch.setattr(filling, "filling_norm_q", counting)
     return calls
 
 
@@ -291,7 +293,7 @@ FV_CASES = [("Z2", 8, EXHAUSTIVE, 0), ("S2", 8, EXHAUSTIVE, 0), ("Z3", 5, EXHAUS
 def test_estimate_fv_matches_unpruned_loop(name, k_max, mode, seed, margin, monkeypatch):
     presentation, rws = load(name)
     cfg = ProbeConfig()
-    calls = _count_lp_solves(monkeypatch)
+    calls = _count_norm_q_solves(monkeypatch)
     est = estimate_fv(presentation, rws, k_max, mode, seed=seed, config=cfg)
     pruned = len(calls)
     table, capped = _unpruned_fv(presentation, rws, k_max, mode, seed, cfg, margin)
