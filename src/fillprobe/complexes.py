@@ -314,8 +314,9 @@ class TwoComplex:
             raise ValueError("apply_d1 expects a 1-chain")
         out: dict = {}
         for e, coeff in chain.entries.items():
-            for v, inc in self.ball.d1_column(e).items():
-                out[v] = out.get(v, Q(0)) + coeff * inc
+            s, _, t = self.ball.edge(e)
+            out[s] = out.get(s, 0) - coeff
+            out[t] = out.get(t, 0) + coeff
         return Chain(0, out)
 
 

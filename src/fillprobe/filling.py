@@ -7,8 +7,9 @@ The rational norm is the linear program
 whose optimum at a basic solution is automatically rational; the
 integral norm solves the same program with integrality imposed.  When
 the cells collapse completely (every Z2 and S2 ball checked, Z3 through
-radius 2), d2 is injective and the one filling is found by substitution
-along the collapse order instead; the simplex solves the rest.  Values
+radius 2), d2 is injective and the rational norm's one filling is found
+by substitution along the collapse order instead; the simplex solves
+the rest, and every integral program.  Values
 computed in a ball are exact for the truncated complex and upper bounds
 for the full complex; certificates carry that distinction explicitly
 and never claim global exactness.
@@ -66,12 +67,7 @@ def _require_cycle(b: Chain, complex_: TwoComplex):
         raise NotACycleError("expected a 1-chain")
     if b.entries and max(b.entries) >= complex_.ball.num_edges:
         raise NotACycleError("chain indexes edges outside this complex")
-    at: dict = {}           # d1 b, vertex by vertex
-    for e, coeff in b.entries.items():
-        s, _, t = complex_.ball.edge(e)
-        at[s] = at.get(s, 0) - coeff
-        at[t] = at.get(t, 0) + coeff
-    if any(at.values()):
+    if not complex_.apply_d1(b).is_zero():
         raise NotACycleError("chain is not a cycle (nonzero boundary)")
 
 
@@ -100,6 +96,20 @@ def _cotree_edges(ball, row_edges):
     return cotree
 
 
+def _covered_edges(b: Chain, complex_: TwoComplex) -> set | None:
+    """The edges that some cell covers, or None when an edge of b is not
+    among them (then b has no filling in the ball)."""
+    covered = set().union(*complex_.d2)
+    return None if any(e not in covered for e in b.entries) else covered
+
+
+def _no_filling(b: Chain, complex_: TwoComplex, ring: str) -> NotABoundaryError:
+    if _covered_edges(b, complex_) is None:
+        return NotABoundaryError("no filling within this ball (uncovered edge)")
+    return NotABoundaryError("no integral filling within this ball" if ring == RING_Z
+                             else "no filling within this ball")
+
+
 def _filling_program(b: Chain, complex_: TwoComplex):
     """Reduced LP over active edge rows, or None when some edge of b
     is covered by no cell (immediately infeasible).
@@ -111,8 +121,8 @@ def _filling_program(b: Chain, complex_: TwoComplex):
     d1 d2 = 0 and b is a cycle; a forest carries no nonzero cycle, so
     the residual is 0.  The feasible set and the optimum are those of
     the program with every active row."""
-    covered = set().union(*complex_.d2)
-    if any(e not in covered for e in b.entries):
+    covered = _covered_edges(b, complex_)
+    if covered is None:
         return None
     cotree = _cotree_edges(complex_.ball, sorted(covered))
     row_of = {e: i for i, e in enumerate(cotree)}
@@ -134,10 +144,10 @@ def _filling_program(b: Chain, complex_: TwoComplex):
     return LinearProgram(2 * nc, rows, rhs, objective)
 
 
-def _collapse_certificate(b: Chain, complex_: TwoComplex, ring: str):
+def _collapse_filling(b: Chain, complex_: TwoComplex) -> Chain | None:
     """The one filling of b, by substitution along the collapse order (a
     pair's edge meets no later cell, so its residual is final when its
-    cell is reached); for Z it is the only candidate."""
+    cell is reached), or None when b has none."""
     residual, c = dict(b.entries), {}
     for ci, e in complex_.collapses():
         if residual.get(e):
@@ -145,15 +155,7 @@ def _collapse_certificate(b: Chain, complex_: TwoComplex, ring: str):
             c[ci] = x = residual[e] / col[e]
             for f, inc in col.items():
                 residual[f] = residual.get(f, 0) - x * inc
-    witness = Chain(2, c)
-    if any(residual.values()) or (ring == RING_Z and not witness.is_integral()):
-        covered = set().union(*complex_.d2)
-        raise NotABoundaryError(
-            "no filling within this ball (uncovered edge)"
-            if any(e not in covered for e in b.entries) else
-            "no integral filling within this ball" if ring == RING_Z else
-            "no filling within this ball")
-    return _certificate(b, complex_, ring, witness.l1(), witness)
+    return None if any(residual.values()) else Chain(2, c)
 
 
 def _witness_chain(witness: dict) -> Chain:
@@ -187,13 +189,16 @@ def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     if b.is_zero():
         return _certificate(b, complex_, RING_Q, Q(0), Chain(2, {}))
     if complex_.collapses() is not None:
-        return _collapse_certificate(b, complex_, RING_Q)
+        witness = _collapse_filling(b, complex_)
+        if witness is None:
+            raise _no_filling(b, complex_, RING_Q)
+        return _certificate(b, complex_, RING_Q, witness.l1(), witness)
     lp = _filling_program(b, complex_)
     if lp is None:
-        raise NotABoundaryError("no filling within this ball (uncovered edge)")
+        raise _no_filling(b, complex_, RING_Q)
     result = solve_lp(lp)
     if result.status is LPStatus.INFEASIBLE:
-        raise NotABoundaryError("no filling within this ball")
+        raise _no_filling(b, complex_, RING_Q)
     complex_.relaxations[frozenset(b.entries.items())] = result
     witness = _witness_chain(result.witness)
     return _certificate(b, complex_, RING_Q, result.value, witness)
@@ -207,19 +212,22 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         raise NotACycleError("integral norm needs an integral boundary")
     if b.is_zero():
         return _certificate(b, complex_, RING_Z, Q(0), Chain(2, {}))
-    if complex_.collapses() is not None and node_budget >= 1:
-        return _collapse_certificate(b, complex_, RING_Z)
-    # the rational optimum that filling_norm_q found in this ball is
-    # branch and bound's root node; where it is integral, it is the answer
+    # the rational optimum that filling_norm_q kept for this ball (it
+    # keeps none where the ball collapses) is branch and bound's root
+    # node; where it is integral, it is the answer
     result = complex_.relaxations.get(frozenset(b.entries.items()))
-    if result is None or node_budget < 1 or \
-            not all(is_integral(v) for v in result.witness.values()):
+    lp = None
+    if result is None:
         lp = _filling_program(b, complex_)
         if lp is None:
-            raise NotABoundaryError("no filling within this ball (uncovered edge)")
+            raise _no_filling(b, complex_, RING_Z)
+        result = solve_lp(lp)
+    if node_budget < 1 or (result.optimal and not all(
+            is_integral(v) for v in result.witness.values())):
+        lp = lp or _filling_program(b, complex_)
         result = solve_ilp(lp, node_budget=node_budget, root=result)
     if result.status is LPStatus.INFEASIBLE:
-        raise NotABoundaryError("no integral filling within this ball")
+        raise _no_filling(b, complex_, RING_Z)
     witness = _witness_chain(result.witness)
     return _certificate(b, complex_, RING_Z, result.value, witness)
 
