@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -642,3 +643,42 @@ def test_cycle_check_texts(z2_r2):
         filling_norm_q(Chain(1, {z2_r2.ball.num_edges: Q(1)}), z2_r2)
     with pytest.raises(NotACycleError, match="nonzero boundary"):
         filling_norm_q(Chain(1, {0: Q(1)}), z2_r2)
+
+
+
+def _certificate_case(name, z2, z3):
+    """A complex, a boundary on it and its rational certificate: the
+    collapse path on Z2 r2, the simplex path on Z3 r3."""
+    (presentation, rws), radius, word = {
+        "z2-collapse": (z2, 2, "a b a^-1 b^-1"),
+        "z3-simplex": (z3, 3, "a b c a^-1 b^-1 c^-1")}[name]
+    complex_ = attach_cells(build_ball(presentation, rws, radius), presentation)
+    assert (complex_.collapses() is None) == (name == "z3-simplex")
+    loop = word_to_edge_chain(complex_.ball, presentation.word(word))
+    return complex_, loop, filling_norm_q(loop, complex_)
+
+
+@pytest.mark.parametrize("name", ["z2-collapse", "z3-simplex"])
+@pytest.mark.parametrize("fault, text", [
+    ("off-by-half", "filling witness does not bound b"),
+    ("wrong-value", "filling witness norm does not match value"),
+    ("fractional-z", "integral certificate has fractional witness"),
+])
+def test_certificate_rejects_a_bad_witness(z2, z3, name, fault, text):
+    complex_, b, cert = _certificate_case(name, z2, z3)
+    # the computed certificate passes in either ring
+    for ring in ("Q", "Z"):
+        assert filling._certificate(b, complex_, ring, cert.value, cert.witness) == \
+            dataclasses.replace(cert, ring=ring)
+    witness, value, ring = cert.witness, cert.value, "Q"
+    if fault == "off-by-half":
+        witness = witness + Chain(2, {min(witness.entries): Q(1, 2)})
+        value = witness.l1()
+    elif fault == "wrong-value":
+        value += 1
+    else:
+        # half the boundary and half its filling: the checks before the
+        # ring's hold
+        b, witness, value, ring = b.scaled(Q(1, 2)), witness.scaled(Q(1, 2)), value / 2, "Z"
+    with pytest.raises(AssertionError, match=text):
+        filling._certificate(b, complex_, ring, value, witness)
