@@ -31,6 +31,9 @@ CASES = {
     "probe_hyperbolic_z2_k6": ["probe", "hyperbolic", "Z2", "--k-max", "6"],
     "probe_hyperbolic_z2_k10": ["probe", "hyperbolic", "Z2", "--k-max", "10"],
     "probe_hyperbolic_z3_k6": ["probe", "hyperbolic", "Z3", "--k-max", "6"],
+    # filling-lp's hyp-s2-k8 job, which solves on the S2 r4 and r5
+    # complexes; CI compares the console script's stdout with this file
+    "probe_hyperbolic_s2_k8": ["probe", "hyperbolic", "S2", "--k-max", "8"],
     "probe_hyperbolic_z2_sampled_seed3": ["--seed", "3", "probe", "hyperbolic", "Z2",
                                           "--mode", "sampled", "--k-max", "8"],
     "ball_s2_r2": ["ball", "S2", "--radius", "2"],
