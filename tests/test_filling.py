@@ -661,6 +661,8 @@ def _certificate_case(name, z2, z3):
 @pytest.mark.parametrize("name", ["z2-collapse", "z3-simplex"])
 @pytest.mark.parametrize("fault, text", [
     ("off-by-half", "filling witness does not bound b"),
+    # half of b and no cells: b's denominators count in the scale too
+    ("half-boundary", "filling witness does not bound b"),
     ("wrong-value", "filling witness norm does not match value"),
     ("fractional-z", "integral certificate has fractional witness"),
 ])
@@ -674,6 +676,8 @@ def test_certificate_rejects_a_bad_witness(z2, z3, name, fault, text):
     if fault == "off-by-half":
         witness = witness + Chain(2, {min(witness.entries): Q(1, 2)})
         value = witness.l1()
+    elif fault == "half-boundary":
+        b, witness, value = b.scaled(Q(1, 2)), Chain(2, {}), Q(0)
     elif fault == "wrong-value":
         value += 1
     else:
