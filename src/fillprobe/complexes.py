@@ -13,8 +13,9 @@ vertices of one layer).  Every vertex is linked from its parent (its
 word minus the last letter), so there is no word -> vertex id dict: a
 normal form is found by following its letters from the identity.
 Cells are relator loops based at ball vertices, kept only when the whole
-loop stays inside the ball; the resulting column of the 2-boundary
-records signed edge traversals.  Vertex, edge and cell indices are
+loop stays inside the ball, which a walk of each relator from every
+vertex at once finds; the resulting column of the 2-boundary records
+signed edge traversals.  Vertex, edge and cell indices are
 stable under radius growth: enlarging the ball only appends.
 
 A ball is held in flat arrays of C ints, not in Python objects per
@@ -320,6 +321,13 @@ class TwoComplex:
         return Chain(0, out)
 
 
+def _check_letters(ngens: int, word) -> None:
+    # another letter would read a slot of some other vertex
+    for x in word:
+        if not -ngens <= x <= ngens or not x:
+            raise ValueError(f"letter {x} is outside +-1..+-{ngens}")
+
+
 def _walk(ball: CayleyBall, start: int, word) -> tuple[dict, int] | None:
     """Signed edge traversals (plain ints, zeros dropped) of the walk
     spelled by ``word`` from ``start``, and its end vertex; None if some
@@ -327,11 +335,9 @@ def _walk(ball: CayleyBall, start: int, word) -> tuple[dict, int] | None:
     +-1..+-ngens.  The walk follows the links first, so edge ids are
     looked up only for a walk that stays in the ball."""
     links, ngens, span = ball.links, ball.ngens, ball.span
+    _check_letters(ngens, word)
     v, path = start, [start]
     for x in word:
-        # another letter would read a slot of some other vertex
-        if not -ngens <= x <= ngens or not x:
-            raise ValueError(f"letter {x} is outside +-1..+-{ngens}")
         v = links[v * span + ngens + x]
         if v < 0:
             return None
@@ -351,22 +357,29 @@ def _sign_canonical(col: dict):
 
 
 def attach_cells(ball: CayleyBall, presentation: GroupPresentation) -> TwoComplex:
-    """One candidate cell per (vertex, relator); kept iff the loop stays
-    in the ball; zero columns dropped; sign-duplicate columns merged."""
+    """One candidate cell per (vertex, relator) whose loop stays in the
+    ball, found by walking the relator from every vertex at once: the
+    first letter's ends are a strided slice of ``links``, each later one
+    maps the (start, end) lists through ``links`` and drops ends that
+    read -1, and only the survivors go through ``_walk`` for their column
+    and closure check.  Zero columns dropped; sign-duplicates merged."""
+    links, ngens, span = ball.links, ball.ngens, ball.span
     candidates = []
-    for v in range(ball.num_vertices):
-        for ri, rel in enumerate(presentation.relators):
-            walk = _walk(ball, v, rel)
-            if walk is None:
-                continue
-            col, end = walk
+    for ri, rel in enumerate(presentation.relators):
+        _check_letters(ngens, rel)
+        starts = range(ball.num_vertices)
+        ends = links[ngens + rel[0]::span] if rel else ()
+        for x in rel[1:]:
+            starts = [s for s, t in zip(starts, ends) if t >= 0]
+            ends = [links[t * span + ngens + x] for t in ends if t >= 0]
+        for v in [s for s, t in zip(starts, ends) if t >= 0]:
+            col, end = _walk(ball, v, rel)
             if end != v:
                 raise IncompleteSystemError(
                     "relator loop does not close under this rewriting system; "
                     "the rules and the relators disagree about the group")
-            if not col:
-                continue
-            candidates.append((ball.layer(max(col)), v, ri, col))
+            if col:
+                candidates.append((ball.layer(max(col)), v, ri, col))
     candidates.sort(key=lambda c: c[:3])
     cells, columns, seen = [], [], set()
     for _, v, ri, col in candidates:
@@ -546,7 +559,8 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
                 cache_dir: str | None = None) -> TwoComplex:
     """Build (or fetch) the truncated complex at the given radius.
 
-    In-process memoization always applies; if ``cache_dir`` (or the
+    In-process memoization, keyed by the frozen presentation and
+    rewriting system, always applies; if ``cache_dir`` (or the
     FILLPROBE_CACHE_DIR environment variable) is set, complexes are also
     persisted as their coordinate-form JSON export.  A file is reused
     only when it is byte-identical to the export of a fresh build (see
@@ -554,11 +568,11 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
     any other file (truncated, edited, or of another radius or system)
     is rebuilt and rewritten.  Files are replaced atomically.
     """
-    key = _cache_key(presentation, rws, radius)
+    key = (presentation, rws, radius)
     complex_ = _MEMO.get(key)
     if complex_ is None:
         cache_dir = cache_dir or os.environ.get("FILLPROBE_CACHE_DIR")
-        path = os.path.join(cache_dir, key + ".json") if cache_dir else None
+        path = cache_dir and os.path.join(cache_dir, _cache_key(*key) + ".json")
         if path and os.path.exists(path):
             try:
                 with open(path, "r", encoding="utf-8") as fh:

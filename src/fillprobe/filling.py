@@ -18,6 +18,7 @@ and never claim global exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .complexes import DEFAULT_VERTEX_CAP, Chain, TwoComplex, get_complex
 from .errors import NotABoundaryError, NotACycleError
@@ -169,7 +170,14 @@ def _witness_chain(witness: dict) -> Chain:
 def _certificate(b: Chain, complex_: TwoComplex, ring: str, value, witness: Chain,
                  status: str = STATUS_UPPER_BOUND,
                  stabilized: bool = False) -> FillingCertificate:
-    if not (complex_.apply_d2(witness) + (-b)).is_zero():
+    # d2 c = b over ints: both sides times the lcm m of their denominators
+    m = lcm(*(c.denominator for c in (*witness.entries.values(), *b.entries.values())))
+    residual = {e: -c.numerator * (m // c.denominator) for e, c in b.entries.items()}
+    for ci, c in witness.entries.items():
+        k = c.numerator * (m // c.denominator)
+        for e, inc in complex_.d2[ci].items():
+            residual[e] = residual.get(e, 0) + k * inc
+    if any(residual.values()):
         raise AssertionError("filling witness does not bound b")
     if witness.l1() != value:
         raise AssertionError("filling witness norm does not match value")

@@ -645,7 +645,6 @@ def test_cycle_check_texts(z2_r2):
         filling_norm_q(Chain(1, {0: Q(1)}), z2_r2)
 
 
-
 def _certificate_case(name, z2, z3):
     """A complex, a boundary on it and its rational certificate: the
     collapse path on Z2 r2, the simplex path on Z3 r3."""
