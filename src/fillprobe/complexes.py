@@ -11,7 +11,11 @@ the boundary layer tries only the letters that fire from its state, and
 none when every rule keeps word length mod 2 (then no edge joins two
 vertices of one layer).  Every vertex is linked from its parent (its
 word minus the last letter), so there is no word -> vertex id dict: a
-normal form is found by following its letters from the identity.
+normal form is found by following its letters from the identity.  A
+vertex with no child yet whose firing letters are all linked makes its
+plain children in one batch.  A ball can also be grown from a copy of
+the ball one radius smaller, resuming the BFS at its boundary layer;
+``get_complex`` does so when that ball is in its memo.
 Cells are relator loops based at ball vertices, kept only when the whole
 loop stays inside the ball, which a walk of each relator from every
 vertex at once finds; the resulting column of the 2-boundary records
@@ -37,6 +41,7 @@ import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import IncompleteSystemError, ResourceLimitError
 from .presentation import GroupPresentation, Word
@@ -175,8 +180,13 @@ class CayleyBall:
         return adj
 
 
+def _cap_error(vertex_cap: int) -> ResourceLimitError:
+    return ResourceLimitError(f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
+
+
 def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
-               radius: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> CayleyBall:
+               radius: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP,
+               grow_from: CayleyBall | None = None) -> CayleyBall:
     """BFS ball of the given radius around the identity.
 
     Each vertex keeps the state its irreducible word reaches in
@@ -187,12 +197,24 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     ``rws.reduce((x,), ball.word(v))``, and follows the target's letters
     through the links from the identity.  A boundary-layer vertex
     (depth == radius) tries only its state's firing letters, and none
-    when every rule keeps word length mod 2.  Each edge's code is put in
-    the bucket of its layer (the larger depth of its ends) when its link
-    is made; edges are ordered by (layer, code).  Requires a confluent
-    rewriting system; aborts with a resource error if the vertex cap is
-    exceeded.  A link-slot code past the range of a C int makes the
-    array raise OverflowError; it never wraps.
+    when every rule keeps word length mod 2.  An inner vertex whose
+    firing letters are all linked, and to which no other vertex's move
+    has given a child, has no child yet: it makes the children of all
+    its plain (non-firing) letters in one batch, with their depths,
+    last letters and states extended from per-state tables.  Each
+    edge's code is put in the bucket of its layer (the larger depth of
+    its ends) when its link is made; edges are ordered by (layer, code).
+
+    ``grow_from``, the ball of some radius r0 with 1 <= r0 < radius of
+    the same system, is copied, not changed: the BFS resumes at its
+    first vertex of depth r0, whose links to depths <= r0 are all made,
+    so only the layers above r0 get new edges and the result is the
+    fresh build's.  The radius-0 ball made no move, not even a loop, so
+    from it the ball is built fresh.
+
+    Requires a confluent rewriting system; aborts with a resource error
+    if the vertex cap is exceeded.  A link-slot code past the range of a
+    C int makes the array raise OverflowError; it never wraps.
     """
     if not rws.confluent:
         raise IncompleteSystemError("ball construction requires a confluent system")
@@ -203,6 +225,9 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
     goto, terminal = rws.index_automaton.goto, rws.index_automaton.terminal
     reduce = rws.reduce
     firing = [[x for x in letters if terminal[row[x]]] for row in goto]
+    # per state: its plain letters in letter order, and their children's states
+    plain = [array("i", [x for x in letters if not terminal[row[x]]]) for row in goto]
+    plain_states = [[row[x] for x in xs] for row, xs in zip(goto, plain)]
     # cancellation and every rule keep word length mod 2, so no edge joins
     # two vertices of one layer; the relators alone do not say so, since
     # supplied rules may define a quotient of their group
@@ -210,19 +235,62 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
 
     span = 2 * ngens + 1
     blank = array("i", [-1]) * span
-    depth, last, links, state = array("i", [0]), array("i", [0]), blank[:], [0]
-    ball = CayleyBall(radius, ngens, depth, last, links, array("i"), [0])
-    layers = [array("i") for _ in range(radius + 1)]
+    blanks = [blank * k for k in range(span)]
+    # per depth d and count k: k copies of d + 1
+    deeper = [[array("i", [d + 1]) * k for k in range(span)] for d in range(radius)]
+    if grow_from is not None and grow_from.radius:
+        if not grow_from.radius < radius or grow_from.ngens != ngens:
+            raise ValueError("grow_from must be a smaller ball of the same system")
+        if grow_from.num_vertices > vertex_cap:
+            raise _cap_error(vertex_cap)
+        depth, last, links = grow_from.depth[:], grow_from.last[:], grow_from.links[:]
+        # each vertex's state is its parent's after its last letter
+        state = [0] * len(depth)
+        for v in range(1, len(depth)):
+            x = last[v]
+            state[v] = goto[state[links[v * span + ngens - x]]][x]
+        ball = CayleyBall(radius, ngens, depth, last, links, grow_from.edges[:],
+                          grow_from.starts[:])
+        done = grow_from.radius + 1         # layers whose edges are all made
+        first = bisect_left(depth, grow_from.radius)
+    else:
+        depth, last, links, state = array("i", [0]), array("i", [0]), blank[:], [0]
+        ball = CayleyBall(radius, ngens, depth, last, links, array("i"), [0])
+        done = first = 0
+    layers = [[] for _ in range(radius + 1)]
+    touched = set()     # parents of a vertex made by another vertex's move
     # the loop also visits the vertices appended while it runs, so by
     # depth, and a boundary-layer vertex links only to vertices already
     # found.  The radius-0 ball has no edges, not even loops.
-    for v, d in enumerate(depth if radius else ()):
+    for v, d in enumerate(islice(depth, first, None) if radius else (), first):
         base = v * span + ngens
         inner = d < radius
         if not inner and bipartite:
             break
-        row = goto[state[v]]
-        for x in letters if inner else firing[state[v]]:
+        s = state[v]
+        if inner and v not in touched:
+            for x in firing[s]:
+                if links[base + x] < 0:
+                    break
+            else:
+                xs = plain[s]
+                t, k = len(depth), len(xs)
+                if t + k > vertex_cap:
+                    raise _cap_error(vertex_cap)
+                depth += deeper[d][k]
+                last += xs
+                state += plain_states[s]
+                links += blanks[k]
+                bucket = layers[d + 1]
+                for x in xs:
+                    links[base + x] = t
+                    code = t * span + ngens - x
+                    links[code] = v
+                    bucket.append(base + x if x > 0 else code)
+                    t += 1
+                continue
+        row = goto[s]
+        for x in letters if inner else firing[s]:
             if links[base + x] >= 0:
                 continue
             if terminal[row[x]]:
@@ -240,8 +308,9 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
                     continue
                 t = len(depth)
                 if t >= vertex_cap:
-                    raise ResourceLimitError(
-                        f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
+                    raise _cap_error(vertex_cap)
+                if p != v:
+                    touched.add(p)
                 depth.append(d + 1)
                 last.append(y)
                 state.append(goto[state[p]][y])
@@ -257,8 +326,9 @@ def build_ball(presentation: GroupPresentation, rws: RewritingSystem,
             layer = depth[t] if depth[t] > d else d
             layers[layer].append(base + x if x > 0 else t * span + ngens - x)
     edges, starts = ball.edges, ball.starts
-    for bucket in layers:
-        edges.extend(sorted(bucket))
+    for bucket in layers[done:]:
+        bucket.sort()
+        edges.extend(bucket)
         starts.append(len(edges))
     return ball
 
@@ -566,7 +636,9 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
     only when it is byte-identical to the export of a fresh build (see
     ``complex_from_json``), so a warm load costs a build and one export;
     any other file (truncated, edited, or of another radius or system)
-    is rebuilt and rewritten.  Files are replaced atomically.
+    is rebuilt and rewritten.  Files are replaced atomically.  A ball
+    not loaded from a file is grown from the memoized ball of radius - 1
+    when there is one (see ``build_ball``).
     """
     key = (presentation, rws, radius)
     complex_ = _MEMO.get(key)
@@ -581,7 +653,9 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
             except ValueError:
                 complex_ = None
         if complex_ is None:
-            ball = build_ball(presentation, rws, radius, vertex_cap=vertex_cap)
+            smaller = _MEMO.get((presentation, rws, radius - 1))
+            ball = build_ball(presentation, rws, radius, vertex_cap=vertex_cap,
+                              grow_from=smaller.ball if smaller else None)
             complex_ = attach_cells(ball, presentation)
             if path:
                 _write_replacing(path, complex_to_json(complex_))
@@ -589,8 +663,7 @@ def get_complex(presentation: GroupPresentation, rws: RewritingSystem, radius: i
     # cached copies must still honor the caller's cap, or results would
     # depend on what happened to be built earlier in the process
     if complex_.ball.num_vertices > vertex_cap:
-        raise ResourceLimitError(
-            f"ball exceeds vertex cap {vertex_cap}", limit=vertex_cap)
+        raise _cap_error(vertex_cap)
     return complex_
 
 

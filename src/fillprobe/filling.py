@@ -230,8 +230,12 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         if lp is None:
             raise _no_filling(b, complex_, RING_Z)
         result = solve_lp(lp)
-    if node_budget < 1 or (result.optimal and not all(
-            is_integral(v) for v in result.witness.values())):
+    fractional = result.optimal and not all(is_integral(v) for v in result.witness.values())
+    if fractional and complex_.collapses() is not None:
+        # a complete collapse makes d2 injective: the relaxation's point
+        # is b's one filling, and branch and bound could not close it
+        raise _no_filling(b, complex_, RING_Z)
+    if node_budget < 1 or fractional:
         lp = lp or _filling_program(b, complex_)
         result = solve_ilp(lp, node_budget=node_budget, root=result)
     if result.status is LPStatus.INFEASIBLE:

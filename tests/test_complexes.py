@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -7,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fillprobe import complexes
 from fillprobe.catalog import CATALOG, load
 from fillprobe.complexes import (
     CayleyBall,
@@ -119,6 +121,29 @@ def test_complex_bytes_pinned(source, radius):
     # vertex order, edge order, cells and d2 columns, byte for byte
     presentation, rws = _system(source)
     complex_ = attach_cells(build_ball(presentation, rws, radius), presentation)
+    text = complex_to_json(complex_)
+    assert hashlib.sha256(text.encode()).hexdigest() == _COMPLEX_SHA256[source, radius]
+
+
+@pytest.mark.parametrize("source, radius", [k for k in _COMPLEX_SHA256 if k[1] >= 2],
+                         ids=lambda v: "a,b|a" if v == _TRIVIAL_A else None)
+def test_grown_complex_bytes_pinned(monkeypatch, source, radius):
+    # get_complex grows each radius from the one below it in the memo
+    presentation, rws = _system(source)
+    grown_from, build = [], complexes.build_ball
+
+    def recording_build(*args, grow_from=None, **kwargs):
+        grown_from.append(grow_from and grow_from.radius)
+        return build(*args, grow_from=grow_from, **kwargs)
+
+    monkeypatch.setattr(complexes, "build_ball", recording_build)
+    clear_memo()
+    try:
+        for r in range(radius + 1):
+            complex_ = get_complex(presentation, rws, r)
+    finally:
+        clear_memo()
+    assert grown_from == [None, *range(radius)]
     text = complex_to_json(complex_)
     assert hashlib.sha256(text.encode()).hexdigest() == _COMPLEX_SHA256[source, radius]
 
@@ -237,6 +262,41 @@ def test_ball_matches_reference_ball(source, radius):
 
 
 @pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
+def test_grown_ball_matches_a_fresh_build(source, radius):
+    # the BFS resumes at the smaller ball's boundary layer, in a copy of
+    # its arrays; the smaller ball is left as it was
+    presentation, rws = _system(source)
+    fresh = build_ball(presentation, rws, radius)
+    for r0 in range(1, radius):
+        smaller = build_ball(presentation, rws, r0)
+        kept = copy.deepcopy(smaller)
+        grown = build_ball(presentation, rws, radius, grow_from=smaller)
+        for name in ("depth", "last", "links", "edges", "starts"):
+            assert getattr(grown, name) == getattr(fresh, name), (r0, name)
+        assert smaller == kept
+
+
+def test_growth_from_radius_zero_builds_fresh():
+    # the radius-0 ball made no move, so it lacks the a-loop that layer 0
+    # of every larger ball carries
+    presentation = parse_presentation(_TRIVIAL_A)
+    rws = knuth_bendix_bounded(presentation)
+    zero = build_ball(presentation, rws, 0)
+    for radius in (1, 2):
+        grown = build_ball(presentation, rws, radius, grow_from=zero)
+        assert grown == build_ball(presentation, rws, radius)
+        assert grown.starts[1] == 1
+
+
+def test_grow_from_must_be_a_smaller_ball(z2):
+    presentation, rws = z2
+    b2 = build_ball(presentation, rws, 2)
+    for radius in (1, 2):
+        with pytest.raises(ValueError, match="smaller ball"):
+            build_ball(presentation, rws, radius, grow_from=b2)
+
+
+@pytest.mark.parametrize("source, radius", _BALL_CASES, ids=_case_id)
 def test_edge_ids_match_a_dict_of_edges(source, radius):
     # the bisection within a layer against the (source, generator) ->
     # edge id dict it replaces, on the built ball and on its reload
@@ -297,7 +357,7 @@ def _traced_build(source, radius):
 
 def test_s2_radius_5_ball_stays_small():
     # arrays of C ints, with no word tuple per vertex and no triple per
-    # edge: on Python 3.11 the ball holds 1.1 MB and peaks at 2.0 MB
+    # edge: on Python 3.11 the ball holds 1.1 MB and peaks at 2.2 MB
     # while it is built, against 5.6 and 6.0 MB with them (7.0 and
     # 7.7 MB with a word -> vertex id dict as well)
     ball, size, peak = _traced_build("S2", 5)
@@ -408,6 +468,32 @@ def test_vertex_cap_trips_at_the_vertex_count(source, radius):
     assert build_ball(presentation, rws, radius, vertex_cap=n).num_vertices == n
     with pytest.raises(ResourceLimitError):
         build_ball(presentation, rws, radius, vertex_cap=n - 1)
+
+
+@pytest.mark.parametrize("source, radius, cap", [
+    ("Z2", 4, 30),              # tripped while radius 4 grows from 25 vertices
+    ("Z2", 4, 20),              # already exceeded by the radius-3 ball
+    # all 6 elements lie within radius 3, so growth from radius 4 has no
+    # vertex of depth 4 to resume at and makes no vertex
+    (_S3_RULES_FILE, 5, 5),
+], ids=_case_id)
+def test_grown_ball_honors_a_smaller_vertex_cap(source, radius, cap):
+    # radius - 1 is memoized under the default cap; radius, grown from it
+    # under a smaller cap, must fail as a fresh build does
+    presentation, rws = _system(source)
+    with pytest.raises(ResourceLimitError) as fresh:
+        build_ball(presentation, rws, radius, vertex_cap=cap)
+    clear_memo()
+    try:
+        smaller = get_complex(presentation, rws, radius - 1).ball
+        with pytest.raises(ResourceLimitError) as grown:
+            build_ball(presentation, rws, radius, vertex_cap=cap, grow_from=smaller)
+        with pytest.raises(ResourceLimitError) as fetched:
+            get_complex(presentation, rws, radius, vertex_cap=cap)
+    finally:
+        clear_memo()
+    for error in (grown, fetched):
+        assert (str(error.value), error.value.limit) == (str(fresh.value), cap)
 
 
 def test_ball_requires_confluence():
