@@ -299,6 +299,40 @@ def test_completion_returns_pinned_rules(name, max_rules, max_len, status,
     assert hashlib.sha256(repr(rws.rules).encode()).hexdigest() == digest
 
 
+def _pair_key(pair):
+    return shortlex_key(pair[0]), shortlex_key(pair[1])
+
+
+# sha256 of repr of the unresolved critical pairs that
+# check_local_confluence finds, sorted by shortlex key, over the rules of
+# an incomplete completion or a hand-written table
+_PINNED_UNRESOLVED = [
+    ("H3", 16, 28,
+     "fb9f815cb994e2a29d2924bf3d5cc83967212eb411fae16db5ac89acbfb7d84a"),
+    ("BS12", 16, 16,
+     "44b6316ba210e91ed6e49c9b7c8d314388a183d978245880ad2bbd0564afc978"),
+    ("S2-interleaved", 256, 2,
+     "a99c25c14e6b5eccc07d4645e8129c39452f21ae9b6d674b28d329eb92c9043e"),
+]
+
+
+@pytest.mark.parametrize("name,max_rules,count,digest", _PINNED_UNRESOLVED,
+                         ids=[c[0] for c in _PINNED_UNRESOLVED])
+def test_unresolved_pairs_pinned(name, max_rules, count, digest):
+    rules = _catalog_completion(name, max_rules, 64).rules
+    ngens = parse_presentation(_source(name)).num_generators
+    unresolved = check_local_confluence(system_from_rules(ngens, rules))
+    pairs = sorted(unresolved, key=_pair_key)
+    assert len(pairs) == count
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+def test_unresolved_pairs_of_one_commutation_rule():
+    unresolved = check_local_confluence(system_from_rules(2, [((2, 1), (1, 2))]))
+    assert sorted(unresolved, key=_pair_key) == [((1, 2, -1), (2,)),
+                                                 ((-2, 1, 2), (1,))]
+
+
 @st.composite
 def small_presentations(draw):
     """Random presentations: 1-3 generators, 1-3 relators of length 1-7."""
