@@ -6,10 +6,20 @@ must strictly decrease the shortlex order, so rewriting terminates and
 local confluence (all critical pairs joinable) implies confluence.
 
 Inside the module a word is the ``str`` of its letters'
-``chr(letter_rank(x))``: shortlex order is ``(len(w), w)``, a letter's
-inverse is ``chr(ord(c) ^ 1)``, and subword, overlap and inclusion tests
-run in C.  Words cross the module boundary as tuples.  Only dicts and
-lists of ``str`` words are iterated: set order follows the hash salt.
+``chr(letter_rank(x))``: shortlex order is ``(len(w), w)`` and a
+letter's inverse is ``chr(ord(c) ^ 1)``.  Words cross the module
+boundary as tuples.  Only dicts and lists of ``str`` words are iterated:
+set order follows the hash salt.
+
+Rules live in a ``_RuleTable``, which keeps indexes in step with its
+lhs -> rhs dict, as rewriting tools such as KBMAG do.  Rewriting walks a
+trie of the reversed left-hand sides back from the last letter read, so
+one walk finds the longest lhs that ends there.  Critical pairs of a
+rule are looked up rather than searched for over every rule pair: an
+overlap of length k joins the rule to the left-hand sides that have its
+last k letters as a proper prefix, or its first k letters as a proper
+suffix, and each lhs inside it is found by the trie walk from each of
+its letters.
 
 Bounded Knuth-Bendix completion rewrites against its one live rule
 table through the same engine that ``RewritingSystem.reduce`` uses, and
@@ -64,17 +74,13 @@ class RewritingSystem:
     ngens: int
     rules: tuple
     status: RewriteStatus
-    _table: dict = field(default=None, compare=False, repr=False)
-    _maxlhs: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
-        table = {}  # encoded lhs -> encoded rhs
         for lhs, rhs in self.rules:
             if shortlex_key(lhs) <= shortlex_key(rhs):
                 raise ValueError(f"rule {lhs} -> {rhs} is not shortlex-reducing")
-            table[_encode(lhs)] = _encode(rhs)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_maxlhs", max(map(len, table), default=0))
+        if len({tuple(lhs) for lhs, _ in self.rules}) < len(self.rules):
+            raise ValueError("two rules share a left-hand side")
 
     @classmethod
     def empty(cls, ngens: int) -> "RewritingSystem":
@@ -84,12 +90,15 @@ class RewritingSystem:
     def confluent(self) -> bool:
         return self.status is RewriteStatus.CONFLUENT
 
+    @functools.cached_property
+    def _table(self) -> "_RuleTable":
+        return _RuleTable((_encode(lhs), _encode(rhs)) for lhs, rhs in self.rules)
+
     def reduce(self, word, prefix: Word = ()) -> Word:
         """Rewrite ``prefix + word`` to an irreducible word (cancellation
         plus rules).  ``prefix`` must be irreducible already; it is taken
         as scanned, so only ``word`` is read letter by letter."""
-        return _decode(_reduce(_encode(word), self._table, self._maxlhs,
-                               _encode(prefix)))
+        return _decode(self._table.reduce(_encode(word), _encode(prefix)))
 
     def rules_key(self) -> str:
         """Canonical serialization for cache keys."""
@@ -189,29 +198,137 @@ def _decoded(rules) -> tuple:
     return tuple((_decode(lhs), _decode(rhs)) for lhs, rhs in rules)
 
 
-def _reduce(code: str, table: dict, maxlhs: int, prefix: str = "") -> str:
-    """Irreducible descendant of ``prefix + code`` under free cancellation
-    and the rules in ``table`` (lhs -> rhs), all encoded.  ``maxlhs``
-    bounds the lhs lengths from above; longer lengths only miss the table.
+class _RuleTable:
+    """Encoded rules lhs -> rhs (``rules``) with indexes kept in step.
 
-    ``prefix`` must be irreducible.  Every prefix of an irreducible word
-    is irreducible, so scanning it would append it letter by letter with
-    no rule firing; the scan starts from it instead."""
-    out = prefix
-    pending = list(reversed(code))
-    while pending:
-        x = pending.pop()
-        if out and ord(out[-1]) == ord(x) ^ 1:
-            out = out[:-1]
-            continue
-        out += x
-        for length in range(min(maxlhs, len(out)), 0, -1):
-            rhs = table.get(out[-length:])
-            if rhs is not None:
-                out = out[:-length]
-                pending.extend(reversed(rhs))
+    ``trie`` holds every lhs reversed: a node is a dict from a letter to
+    the node one letter further back, and the node where an lhs ends
+    maps ``""`` to it.  ``prefixes`` and ``suffixes`` map each proper
+    prefix and proper suffix to the left-hand sides that have it, in
+    insertion order.  A rhs may change in ``rules`` directly; the
+    indexes only read left-hand sides.
+    """
+
+    __slots__ = ("rules", "trie", "prefixes", "suffixes")
+
+    def __init__(self, rules=()):
+        self.rules = {}
+        self.trie = {}
+        self.prefixes = {}
+        self.suffixes = {}
+        for lhs, rhs in rules:
+            self.add(lhs, rhs)
+
+    def add(self, lhs: str, rhs: str):
+        self.rules[lhs] = rhs
+        node = self.trie
+        for x in reversed(lhs):
+            node = node.setdefault(x, {})
+        node[""] = lhs
+        for k in range(1, len(lhs)):
+            self.prefixes.setdefault(lhs[:k], {})[lhs] = None
+            self.suffixes.setdefault(lhs[-k:], {})[lhs] = None
+
+    def pop(self, lhs: str) -> str:
+        """Remove the rule for ``lhs`` and return its rhs."""
+        for k in range(1, len(lhs)):
+            for index, key in ((self.prefixes, lhs[:k]),
+                               (self.suffixes, lhs[-k:])):
+                lhss = index[key]
+                del lhss[lhs]
+                if not lhss:
+                    del index[key]
+        path = []
+        node = self.trie
+        for x in reversed(lhs):
+            path.append((node, x))
+            node = node[x]
+        del node[""]
+        for parent, x in reversed(path):
+            if parent[x]:
                 break
-    return out
+            del parent[x]
+        return self.rules.pop(lhs)
+
+    def reduce(self, code: str, prefix: str = "") -> str:
+        """Irreducible descendant of ``prefix + code`` under free
+        cancellation and the rules, all encoded.  After each letter the
+        longest lhs ending at it, if any, is rewritten.
+
+        ``prefix`` must be irreducible.  Every prefix of an irreducible
+        word is irreducible, so scanning it would append it letter by
+        letter with no rule firing; the scan starts from it instead."""
+        rules, trie = self.rules, self.trie
+        out = prefix
+        pending = list(reversed(code))
+        while pending:
+            x = pending.pop()
+            if out and ord(out[-1]) == ord(x) ^ 1:
+                out = out[:-1]
+                continue
+            out += x
+            node, lhs = trie, None
+            for y in reversed(out):
+                if y not in node:
+                    break
+                node = node[y]
+                if "" in node:
+                    lhs = node[""]
+            if lhs is not None:
+                out = out[:-len(lhs)]
+                pending.extend(reversed(rules[lhs]))
+        return out
+
+    def critical_pairs(self, l1: str) -> list:
+        """Words with two distinct single-step reductions, one of them by
+        the rule for ``l1`` and the other by a rule or a cancellation
+        pair, as (left_result, right_result) before normalization, the
+        result of the rule applied first on the left.  Each is listed
+        once per pair of rules and position, as follows:
+
+        - ``l1`` then l2, overlapping in a suffix of ``l1`` that is a
+          proper prefix of l2, for every rule l2 (``l1`` itself
+          included) and cancellation pair;
+        - l0 then ``l1``, overlapping in a proper suffix of l0, for every
+          other rule l0 and cancellation pair;
+        - every shorter lhs or cancellation pair inside ``l1``;
+        - ``l1`` inside a cancellation pair, which takes a 1-letter lhs.
+
+        A rule whose lhs holds ``l1`` is left out: completion has
+        removed every such rule, and the search from that rule's lhs
+        finds the pair.  So is a pair of two cancellations, which always
+        joins."""
+        rules, prefixes, suffixes = self.rules, self.prefixes, self.suffixes
+        r1 = rules[l1]
+        n = len(l1)
+        out = []
+        for k in range(1, n):
+            for l2 in prefixes.get(l1[n - k:], ()):
+                out.append((r1 + l2[k:], l1[:n - k] + rules[l2]))
+            for l0 in suffixes.get(l1[:k], ()):
+                if l0 != l1:
+                    out.append((rules[l0] + l1[k:], l0[:-k] + r1))
+        for j in range(1, n + 1):
+            node = self.trie
+            for i in range(j - 1, -1, -1):
+                if l1[i] not in node:
+                    break
+                node = node[l1[i]]
+                if "" in node and j - i < n:
+                    out.append((r1, l1[:i] + rules[node[""]] + l1[j:]))
+        first, last = l1[0], l1[-1]
+        if n == 1:
+            inverse = chr(ord(first) ^ 1)
+            out.append(("", r1 + inverse))
+            out.append(("", inverse + r1))
+        else:
+            out.append((r1 + chr(ord(last) ^ 1), l1[:-1]))
+            out.append((l1[1:], chr(ord(first) ^ 1) + r1))
+        if n > 2:
+            for i in range(n - 1):
+                if ord(l1[i]) ^ 1 == ord(l1[i + 1]):
+                    out.append((r1, l1[:i] + l1[i + 2:]))
+        return out
 
 
 def normal_form(word, rws: RewritingSystem) -> Word:
@@ -230,52 +347,24 @@ def _cancellation_rules(ngens: int):
     return rules
 
 
-def _pair_sources(rules_a, rules_b) -> list:
-    """Words with two distinct single-step reductions, by l1 -> r1 in
-    ``rules_a`` and l2 -> r2 in ``rules_b``, as (left_result,
-    right_result) before normalization: per rule pair, proper overlaps (a
-    suffix of l1 equals a prefix of l2), shortest first, then strict
-    inclusions of l2 in l1, leftmost first.
-    """
-    out = []
-    for l1, r1 in rules_a:
-        n1 = len(l1)
-        for l2, r2 in rules_b:
-            # both kinds place l2's first letter somewhere in l1; an
-            # overlap of length n1 - i < min(n1, n2) places it at i
-            first = l2[0]
-            if first not in l1:
-                continue
-            n2 = len(l2)
-            lo = n1 - min(n1, n2) + 1
-            i = l1.rfind(first, lo)
-            while i >= lo:
-                if l2.startswith(l1[i:]):
-                    out.append((r1 + l2[n1 - i:], l1[:i] + r2))
-                i = l1.rfind(first, lo, i)
-            if n2 < n1:
-                i = l1.find(l2)
-                while i >= 0:
-                    out.append((r1, l1[:i] + r2 + l1[i + n2:]))
-                    i = l1.find(l2, i + 1)
-    return out
-
-
 def check_local_confluence(rws: RewritingSystem):
-    """Return unresolved critical pairs (normalized, deduplicated).
+    """Return unresolved critical pairs (normalized, deduplicated),
+    sorted by shortlex key, larger word first in each pair.
 
     Empty result plus shortlex-reducing rules means the system is
     confluent (Newman's lemma), so the status may be set CONFLUENT.
     """
-    working = [(_encode(l), _encode(r))
-               for l, r in [*rws.rules, *_cancellation_rules(rws.ngens)]]
-    unresolved = {}  # as an ordered set
-    for u, v in _pair_sources(working, working):
-        a = _reduce(u, rws._table, rws._maxlhs)
-        b = _reduce(v, rws._table, rws._maxlhs)
+    table = rws._table
+    sources = set()
+    for lhs in table.rules:
+        sources.update(table.critical_pairs(lhs))
+    unresolved = set()
+    for u, v in sources:
+        a, b = table.reduce(u), table.reduce(v)
         if a != b:
-            unresolved[(a, b) if (len(a), a) > (len(b), b) else (b, a)] = None
-    return list(_decoded(unresolved))
+            unresolved.add((a, b) if (len(a), a) > (len(b), b) else (b, a))
+    return list(_decoded(sorted(
+        unresolved, key=lambda ab: (len(ab[0]), ab[0], len(ab[1]), ab[1]))))
 
 
 def _seed_rules(presentation: GroupPresentation):
@@ -301,16 +390,16 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
     if max_rules < len(seeds):
         raise ValueError("max_rules below the relator-derived seed count")
 
-    cancels = [(_encode(l), "") for l, _ in _cancellation_rules(ngens)]
-    table: dict = {}
-    maxlhs = 0  # the longest lhs ever added; an upper bound after deletions
+    table = _RuleTable()
+    rules = table.rules
 
     def incomplete():
-        return RewritingSystem(ngens, _decoded(table.items()),
+        return RewritingSystem(ngens, _decoded(rules.items()),
                                RewriteStatus.INCOMPLETE)
 
     # Priority queue of equations, smallest shortlex first (fairness).
-    # Entries with equal keys hold the same pair: no tie-breaker needed.
+    # Entries with equal keys hold the same pair: no tie-breaker needed,
+    # and the order of pushes does not matter.
     heap = []
     for u, v in seeds:
         u, v = _encode(u), _encode(v)
@@ -323,7 +412,7 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
         if processed > budget:
             return incomplete()
         _, u, _, v = heapq.heappop(heap)
-        u, v = _reduce(u, table, maxlhs), _reduce(v, table, maxlhs)
+        u, v = table.reduce(u), table.reduce(v)
         if u == v:
             continue
         lhs, rhs = (u, v) if (len(u), u) > (len(v), v) else (v, u)
@@ -335,22 +424,18 @@ def knuth_bendix_bounded(presentation: GroupPresentation,
         # below lhs, so it cannot contain lhs.  Hence only a rhs holding
         # lhs as a subword can reduce now, and only those are
         # re-normalized against the table with the new rule in.
-        for l2 in [l2 for l2 in table if lhs in l2]:
+        for l2 in [l2 for l2 in rules if lhs in l2]:
             r2 = table.pop(l2)
             heapq.heappush(heap, (len(l2), l2, len(r2), r2))
-        table[lhs] = rhs
-        maxlhs = max(maxlhs, len(lhs))
-        table.update({l2: _reduce(r2, table, maxlhs)
-                      for l2, r2 in table.items() if lhs in r2})
-        if len(table) > max_rules:
+        table.add(lhs, rhs)
+        rules.update({l2: table.reduce(r2)
+                      for l2, r2 in rules.items() if lhs in r2})
+        if len(rules) > max_rules:
             return incomplete()
         # each pushed pair, duplicates included, is budgeted when popped
-        new_rule = [(lhs, rhs)]
-        others = [item for item in table.items() if item[0] != lhs] + cancels
-        for a, b in (_pair_sources(new_rule, new_rule + others)
-                     + _pair_sources(others, new_rule)):
+        for a, b in table.critical_pairs(lhs):
             heapq.heappush(heap, (len(a), a, len(b), b))
-    return RewritingSystem(ngens, tuple(sorted(_decoded(table.items()))),
+    return RewritingSystem(ngens, tuple(sorted(_decoded(rules.items()))),
                            RewriteStatus.CONFLUENT)
 
 

@@ -5,6 +5,8 @@ import random
 from unittest import mock
 
 import pytest
+from collections import Counter
+
 from hypothesis import example, given, settings, strategies as st
 
 from fillprobe import rewriting
@@ -21,6 +23,7 @@ from fillprobe.rewriting import (
     _EQUATIONS_PER_RULE,
     RewriteStatus,
     RewritingSystem,
+    _RuleTable,
     _cancellation_rules,
     _decode,
     _encode,
@@ -121,6 +124,10 @@ def test_aa_rule_set_leaves_inverse_unjoined():
 def test_rules_must_be_shortlex_reducing():
     with pytest.raises(ValueError):
         RewritingSystem(2, (((1,), (1, 2)),), RewriteStatus.INCOMPLETE)
+    # two rules for one lhs: one would shadow the other in every lookup
+    with pytest.raises(ValueError):
+        RewritingSystem(2, (((2, 1), (1, 2)), ((2, 1), (1,))),
+                        RewriteStatus.INCOMPLETE)
 
 
 def test_status_validated_by_system_from_rules(z3):
@@ -323,14 +330,14 @@ def test_unresolved_pairs_pinned(name, max_rules, count, digest):
     ngens = parse_presentation(_source(name)).num_generators
     unresolved = check_local_confluence(system_from_rules(ngens, rules))
     pairs = sorted(unresolved, key=_pair_key)
+    assert unresolved == pairs
     assert len(pairs) == count
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
 def test_unresolved_pairs_of_one_commutation_rule():
     unresolved = check_local_confluence(system_from_rules(2, [((2, 1), (1, 2))]))
-    assert sorted(unresolved, key=_pair_key) == [((1, 2, -1), (2,)),
-                                                 ((-2, 1, 2), (1,))]
+    assert unresolved == [((1, 2, -1), (2,)), ((-2, 1, 2), (1,))]
 
 
 @st.composite
@@ -553,3 +560,98 @@ def test_equation_budget_matches_reference_completion(presentation, budget,
                                    max_len=max_len)
     assert (rws.status, rws.rules) == _reference_completion(
         presentation, max_rules, max_len, equations_per_rule)
+
+
+@st.composite
+def tables_with_new_rule(draw):
+    """(ngens, rules) as completion holds them when it searches the pairs
+    of its newest rule, the last one: freely reduced left-hand sides, none
+    inside another, each rhs shorter than its lhs."""
+    ngens = draw(st.integers(min_value=1, max_value=2))
+    words = draw(st.lists(words_over(ngens, 5).map(free_reduce).filter(len),
+                          min_size=1, max_size=8))
+    lhss = []
+    for w in words:
+        if not any(_contains(w, l) or _contains(l, w) for l in lhss):
+            lhss.append(w)
+    return ngens, [(l, draw(words_over(ngens, len(l) - 1))) for l in lhss]
+
+
+@given(tables_with_new_rule())
+# self-overlaps of length 1 and n - 1
+@example((1, [((1, 1, 1), ())]))
+# overlaps of length n - 1 with another rule, on either side
+@example((2, [((2, 1, 2), (1,)), ((1, 2, 1), (2,))]))
+# a 1-letter lhs inside both cancellation pairs of its letter
+@example((2, [((2, 1), (1, 2)), ((-1,), (1,))]))
+@settings(max_examples=200)
+def test_indexed_pairs_match_all_pairs_search(system):
+    # the multiset that completion pushes for a new rule: the new rule
+    # against itself, every other rule and every cancellation pair, on
+    # both sides
+    ngens, rules = system
+    rules = [(_encode(l), _encode(r)) for l, r in rules]
+    new = rules[-1]
+    cancels = [(_encode(l), "") for l, _ in _cancellation_rules(ngens)]
+    others = rules[:-1] + cancels
+    expected = Counter()
+    for other in [new] + others:
+        expected.update(_reference_pair_sources(*new, *other))
+    for other in others:
+        expected.update(_reference_pair_sources(*other, *new))
+    assert Counter(_RuleTable(rules).critical_pairs(new[0])) == expected
+
+
+@st.composite
+def supplied_rules(draw):
+    """(ngens, shortlex-reducing rules), not interreduced, where some
+    left-hand sides are proper suffixes of others."""
+    ngens = draw(st.integers(min_value=1, max_value=3))
+    pairs = draw(st.lists(st.tuples(words_over(ngens, 5), words_over(ngens, 5)),
+                          max_size=6))
+    rules = {}
+    for u, v in pairs:
+        if u != v:
+            lhs, rhs = (u, v) if shortlex_key(u) > shortlex_key(v) else (v, u)
+            rules.setdefault(lhs, rhs)
+    for lhs in list(rules):
+        if len(lhs) >= 2 and draw(st.booleans()):
+            suffix = lhs[draw(st.integers(min_value=1, max_value=len(lhs) - 1)):]
+            rules.setdefault(suffix, draw(words_over(ngens, len(suffix) - 1)))
+    return ngens, tuple(rules.items())
+
+
+def _reference_unresolved(ngens, rules):
+    """Unresolved critical pairs over every ordered pair of rules and
+    cancellation pairs, reduced by the tuple-word reference."""
+    table = dict(rules)
+    maxlhs = max(map(len, table), default=0)
+    working = list(rules) + _cancellation_rules(ngens)
+    unresolved = set()
+    for l1, r1 in working:
+        for l2, r2 in working:
+            for u, v in _reference_pair_sources(l1, r1, l2, r2):
+                a, b = _reduce(u, table, maxlhs), _reduce(v, table, maxlhs)
+                if a != b:
+                    unresolved.add((a, b) if shortlex_key(a) > shortlex_key(b)
+                                   else (b, a))
+    return sorted(unresolved, key=_pair_key)
+
+
+@given(supplied_rules(), st.lists(words_over(3), max_size=4))
+# b a -> a b inside the longer lhs a b a; the longest match must win
+@example((2, (((1, 2, 1), ()), ((2, 1), (1, 2)))), [(1, 2, 1), (2, 1, 2, 1)])
+# a chain of suffixes: b inside a b inside a a b
+@example((2, (((1, 1, 2), (2,)), ((1, 2), (1,)), ((2,), (1,)))), [(1, 1, 2)])
+@settings(max_examples=150, deadline=None)
+def test_supplied_rules_match_reference(system, words):
+    ngens, rules = system
+    rws = system_from_rules(ngens, rules)
+    unresolved = _reference_unresolved(ngens, rules)
+    assert check_local_confluence(rws) == unresolved
+    assert rws.confluent == (not unresolved)
+    table = dict(rules)
+    maxlhs = max(map(len, table), default=0)
+    for w in words:
+        w = tuple(x for x in w if abs(x) <= ngens)
+        assert rws.reduce(w) == _reduce(w, table, maxlhs)
