@@ -12,14 +12,15 @@ boundary as tuples.  Only dicts and lists of ``str`` words are iterated:
 set order follows the hash salt.
 
 Rules live in a ``_RuleTable``, which keeps indexes in step with its
-lhs -> rhs dict, as rewriting tools such as KBMAG do.  Rewriting walks a
-trie of the reversed left-hand sides back from the last letter read, so
-one walk finds the longest lhs that ends there.  Critical pairs of a
-rule are looked up rather than searched for over every rule pair: an
-overlap of length k joins the rule to the left-hand sides that have its
-last k letters as a proper prefix, or its first k letters as a proper
-suffix, and each lhs inside it is found by the trie walk from each of
-its letters.
+lhs -> rhs dict (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005, section 12.6).  Rewriting walks a trie of the
+reversed left-hand sides back from the last letter read, so one walk
+finds the longest lhs that ends there.  Critical pairs of a rule are
+looked up rather than searched for over every rule pair: an overlap of
+length k joins the rule to the left-hand sides that have its last k
+letters as a proper prefix, or its first k letters as a proper suffix,
+and each lhs inside it is found by the trie walk from each of its
+letters.
 
 Bounded Knuth-Bendix completion rewrites against its one live rule
 table through the same engine that ``RewritingSystem.reduce`` uses, and
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IncompleteSystemError
