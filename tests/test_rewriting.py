@@ -2,11 +2,10 @@ import functools
 import hashlib
 import heapq
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
-from collections import Counter
-
 from hypothesis import example, given, settings, strategies as st
 
 from fillprobe import rewriting
@@ -312,7 +311,7 @@ def _pair_key(pair):
 
 # sha256 of repr of the unresolved critical pairs that
 # check_local_confluence finds, sorted by shortlex key, over the rules of
-# an incomplete completion or a hand-written table
+# three incomplete completions
 _PINNED_UNRESOLVED = [
     ("H3", 16, 28,
      "fb9f815cb994e2a29d2924bf3d5cc83967212eb411fae16db5ac89acbfb7d84a"),
