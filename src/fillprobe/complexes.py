@@ -341,20 +341,22 @@ class TwoComplex:
     presentation: GroupPresentation
     cells: list               # (base vertex, relator index) representatives
     d2: list                  # per cell: {edge id: int coefficient}
-    # optimal rational filling LPs solved on this complex, keyed by the
-    # boundary's entries; the integral norm's branch and bound starts here
+    # optimal rational fillings of the whole program, keyed by the
+    # boundary's entries, kept where the rational norm solved a core
+    # program; the integral norm's branch and bound starts here
     relaxations: dict = field(default_factory=dict, repr=False, compare=False)
-    _collapses: object = field(default=False, init=False, repr=False, compare=False)
+    _collapses: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def collapses(self) -> list | None:
-        """(cell, free edge) pairs of a complete collapse: each edge meets
-        its cell and no later pair's cell.  None when some cell never gets
-        a free edge.  Computed on the first call and kept."""
-        if self._collapses is False:
+    def collapses(self) -> list:
+        """(cell, free edge) pairs of a maximal collapse: each edge meets
+        its cell and no later pair's cell, and no cell of the core, the
+        cells that never get a free edge (none when the collapse is
+        complete).  Computed on the first call and kept."""
+        if self._collapses is None:
             left, ids = {}, {}      # per edge: cells left on it, sum of their ids
             for ci, col in enumerate(self.d2):
                 for e in col:
@@ -368,7 +370,7 @@ class TwoComplex:
                         left[f], ids[f] = left[f] - 1, ids[f] - ci
                         if left[f] == 1:
                             free.append(f)
-            self._collapses = order if len(order) == len(self.d2) else None
+            self._collapses = order
         return self._collapses
 
     def apply_d2(self, chain: Chain) -> Chain:

@@ -373,9 +373,11 @@ def solve_ilp(lp: LinearProgram, *,
     budget raises NodeBudgetError carrying the best lower/upper bounds
     known.
 
-    ``root`` is ``solve_lp(lp)``'s optimal result, when the caller has
-    it; the root node then takes it instead of solving ``lp`` again, and
-    ``pivots`` counts only the pivots of the other nodes.
+    ``root`` is an optimal result of ``lp``'s relaxation, when the caller
+    has one: ``solve_lp(lp)``'s, or the rational filling norm's optimum
+    lifted to ``lp``'s columns.  Any optimal point of ``lp`` serves,
+    basic or not.  The root node then takes it instead of solving ``lp``
+    again, and ``pivots`` counts only the pivots of the other nodes.
     """
     stack = [((), None)]
     incumbent_value = None

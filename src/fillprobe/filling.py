@@ -5,14 +5,16 @@ The rational norm is the linear program
     min sum(a+ + a-)   s.t.   d2 (a+ - a-) = b,   a+, a- >= 0,
 
 whose optimum at a basic solution is automatically rational; the
-integral norm solves the same program with integrality imposed.  When
-the cells collapse completely (every Z2 and S2 ball checked, Z3 through
-radius 2), d2 is injective and the rational norm's one filling is found
-by substitution along the collapse order instead; the simplex solves
-the rest, and every integral program.  Values
-computed in a ball are exact for the truncated complex and upper bounds
-for the full complex; certificates carry that distinction explicitly
-and never claim global exactness.
+integral norm solves the same program with integrality imposed.  The
+rational norm first substitutes along a maximal collapse order: each
+collapsed cell takes the same value in every filling.  The simplex then
+solves the program over the core, the cells left over, for what remains
+of b; a complete collapse (every Z2 and S2 ball checked, Z3 through
+radius 2) leaves no core and calls no simplex.  The integral norm's
+branch and bound runs on the whole program.  Values computed in a ball
+are exact for the truncated complex and upper bounds for the full
+complex; certificates carry that distinction explicitly and never
+claim global exactness.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from math import lcm
 
 from .complexes import DEFAULT_VERTEX_CAP, Chain, TwoComplex, get_complex
 from .errors import NotABoundaryError, NotACycleError
-from .exactlp import DEFAULT_NODE_BUDGET, LinearProgram, LPStatus, solve_ilp, solve_lp
+from .exactlp import (DEFAULT_NODE_BUDGET, LinearProgram, LPResult, LPStatus, solve_ilp,
+                      solve_lp)
 from .presentation import GroupPresentation
 from .rationals import Q, is_integral, qstr
 from .rewriting import RewritingSystem
@@ -97,73 +100,54 @@ def _cotree_edges(ball, row_edges):
     return cotree
 
 
-def _covered_edges(b: Chain, complex_: TwoComplex) -> set | None:
-    """The edges that some cell covers, or None when an edge of b is not
-    among them (then b has no filling in the ball)."""
-    covered = set().union(*complex_.d2)
+def _covered_edges(b: Chain, complex_: TwoComplex, cells) -> set | None:
+    """The edges that some cell of ``cells`` covers, or None when an edge
+    of b is not among them (then those cells do not fill b)."""
+    covered = set().union(*(complex_.d2[ci] for ci in cells))
     return None if any(e not in covered for e in b.entries) else covered
 
 
 def _no_filling(b: Chain, complex_: TwoComplex, ring: str) -> NotABoundaryError:
-    if _covered_edges(b, complex_) is None:
+    if _covered_edges(b, complex_, range(complex_.num_cells)) is None:
         return NotABoundaryError("no filling within this ball (uncovered edge)")
     return NotABoundaryError("no integral filling within this ball" if ring == RING_Z
                              else "no filling within this ball")
 
 
-def _filling_program(b: Chain, complex_: TwoComplex):
-    """Reduced LP over active edge rows, or None when some edge of b
-    is covered by no cell (immediately infeasible).
+def _filling_program(b: Chain, complex_: TwoComplex, cells):
+    """The LP over the columns a+, a- of each cell of ``cells`` (2k and
+    2k + 1 for the k-th) and the rows of active edges, or None when some
+    edge of the cycle b is covered by none of those cells (immediately
+    infeasible).
 
-    The active edges are those some cell covers; rows are kept only for
-    the cotree, the active edges outside a spanning forest T of the
-    graph they span.  T's rows are implied: if a meets the cotree rows,
-    the residual d2 a - b is zero off T, and it is a cycle because
-    d1 d2 = 0 and b is a cycle; a forest carries no nonzero cycle, so
-    the residual is 0.  The feasible set and the optimum are those of
-    the program with every active row."""
-    covered = _covered_edges(b, complex_)
+    The active edges are those some cell of ``cells`` covers; rows are
+    kept only for the cotree, the active edges outside a spanning forest
+    T of the graph they span.  T's rows are implied: if a meets the
+    cotree rows, the residual d2 a - b is zero off T, and it is a cycle
+    because d1 d2 = 0 and b is a cycle; a forest carries no nonzero
+    cycle, so the residual is 0.  The feasible set and the optimum are
+    those of the program with every active row."""
+    covered = _covered_edges(b, complex_, cells)
     if covered is None:
         return None
     cotree = _cotree_edges(complex_.ball, sorted(covered))
     row_of = {e: i for i, e in enumerate(cotree)}
-    nc = complex_.num_cells
     rows = [dict() for _ in row_of]
-    for ci, col in enumerate(complex_.d2):
-        pos, neg = 2 * ci, 2 * ci + 1
-        for e, inc in col.items():
+    for k, ci in enumerate(cells):
+        for e, inc in complex_.d2[ci].items():
             i = row_of.get(e)
             if i is not None:
-                rows[i][pos] = inc
-                rows[i][neg] = -inc
-    rhs = [0] * len(row_of)
-    for e, coeff in b.entries.items():
-        i = row_of.get(e)
-        if i is not None:
-            rhs[i] = coeff
-    objective = [1] * (2 * nc)
-    return LinearProgram(2 * nc, rows, rhs, objective)
+                rows[i].update({2 * k: inc, 2 * k + 1: -inc})
+    rhs = [b.entries.get(e, 0) for e in cotree]
+    return LinearProgram(2 * len(cells), rows, rhs, [1] * (2 * len(cells)))
 
 
-def _collapse_filling(b: Chain, complex_: TwoComplex) -> Chain | None:
-    """The one filling of b, by substitution along the collapse order (a
-    pair's edge meets no later cell, so its residual is final when its
-    cell is reached), or None when b has none."""
-    residual, c = dict(b.entries), {}
-    for ci, e in complex_.collapses():
-        if residual.get(e):
-            col = complex_.d2[ci]
-            c[ci] = x = residual[e] / col[e]
-            for f, inc in col.items():
-                residual[f] = residual.get(f, 0) - x * inc
-    return None if any(residual.values()) else Chain(2, c)
-
-
-def _witness_chain(witness: dict) -> Chain:
+def _witness_chain(witness: dict, cells) -> Chain:
+    """The 2-chain of an LP point over the columns of ``cells``."""
     entries: dict = {}
     for j, v in witness.items():
-        cell, part = divmod(j, 2)
-        entries[cell] = entries.get(cell, Q(0)) + (v if part == 0 else -v)
+        k, part = divmod(j, 2)
+        entries[cells[k]] = entries.get(cells[k], Q(0)) + (v if part == 0 else -v)
     return Chain(2, entries)
 
 
@@ -187,6 +171,20 @@ def _certificate(b: Chain, complex_: TwoComplex, ring: str, value, witness: Chai
                               status, stabilized)
 
 
+def _substitute(b: Chain, complex_: TwoComplex):
+    """The value c that every filling of b takes on the collapsed cells
+    (a pair's edge meets no later cell and no core cell, so its residual
+    is final when its cell is reached), and the cycle b - d2 c."""
+    residual, c = dict(b.entries), {}
+    for ci, e in complex_.collapses():
+        if residual.get(e):
+            col = complex_.d2[ci]
+            c[ci] = x = residual[e] / col[e]
+            for f, inc in col.items():
+                residual[f] = residual.get(f, 0) - x * inc
+    return c, Chain(1, residual)
+
+
 def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     """Minimal l1 mass of a rational filling within the ball.
 
@@ -194,22 +192,22 @@ def filling_norm_q(b: Chain, complex_: TwoComplex) -> FillingCertificate:
     never certifies that b fails to bound in the full complex.
     """
     _require_cycle(b, complex_)
-    if b.is_zero():
-        return _certificate(b, complex_, RING_Q, Q(0), Chain(2, {}))
-    if complex_.collapses() is not None:
-        witness = _collapse_filling(b, complex_)
-        if witness is None:
+    c, residual = _substitute(b, complex_)
+    if not residual.is_zero():
+        collapsed = {ci for ci, _ in complex_.collapses()}
+        core = [ci for ci in range(complex_.num_cells) if ci not in collapsed]
+        lp = _filling_program(residual, complex_, core)
+        result = solve_lp(lp) if lp is not None else None
+        if result is None or result.status is LPStatus.INFEASIBLE:
             raise _no_filling(b, complex_, RING_Q)
-        return _certificate(b, complex_, RING_Q, witness.l1(), witness)
-    lp = _filling_program(b, complex_)
-    if lp is None:
-        raise _no_filling(b, complex_, RING_Q)
-    result = solve_lp(lp)
-    if result.status is LPStatus.INFEASIBLE:
-        raise _no_filling(b, complex_, RING_Q)
-    complex_.relaxations[frozenset(b.entries.items())] = result
-    witness = _witness_chain(result.witness)
-    return _certificate(b, complex_, RING_Q, result.value, witness)
+        c.update(_witness_chain(result.witness, core).entries)
+    witness = Chain(2, c)
+    if len(complex_.collapses()) < complex_.num_cells:
+        # the whole program's optimum, as a+ = max(c, 0), a- = max(-c, 0)
+        point = {2 * ci + (v < 0): abs(v) for ci, v in witness.entries.items()}
+        complex_.relaxations[frozenset(b.entries.items())] = LPResult(
+            LPStatus.OPTIMAL, witness.l1(), point)
+    return _certificate(b, complex_, RING_Q, witness.l1(), witness)
 
 
 def filling_norm_z(b: Chain, complex_: TwoComplex, *,
@@ -220,27 +218,25 @@ def filling_norm_z(b: Chain, complex_: TwoComplex, *,
         raise NotACycleError("integral norm needs an integral boundary")
     if b.is_zero():
         return _certificate(b, complex_, RING_Z, Q(0), Chain(2, {}))
-    # the rational optimum that filling_norm_q kept for this ball (it
-    # keeps none where the ball collapses) is branch and bound's root
-    # node; where it is integral, it is the answer
-    result = complex_.relaxations.get(frozenset(b.entries.items()))
-    lp = None
-    if result is None:
-        lp = _filling_program(b, complex_)
-        if lp is None:
-            raise _no_filling(b, complex_, RING_Z)
-        result = solve_lp(lp)
+    cells = range(complex_.num_cells)
+    lp = _filling_program(b, complex_, cells)
+    if lp is None:
+        raise _no_filling(b, complex_, RING_Z)
+    # the rational optimum that filling_norm_q kept where the ball has a
+    # core, or else the simplex's, is branch and bound's root node;
+    # where it is integral, it is the answer
+    result = complex_.relaxations.get(frozenset(b.entries.items())) or solve_lp(lp)
     fractional = result.optimal and not all(is_integral(v) for v in result.witness.values())
-    if fractional and complex_.collapses() is not None:
-        # a complete collapse makes d2 injective: the relaxation's point
-        # is b's one filling, and branch and bound could not close it
+    if fractional and any(not is_integral(result.witness.get(2 * ci + part, 0))
+                          for ci, _ in complex_.collapses() for part in (0, 1)):
+        # a collapsed cell takes the same value in every filling, and
+        # this one is fractional: branch and bound could not close it
         raise _no_filling(b, complex_, RING_Z)
     if node_budget < 1 or fractional:
-        lp = lp or _filling_program(b, complex_)
         result = solve_ilp(lp, node_budget=node_budget, root=result)
     if result.status is LPStatus.INFEASIBLE:
         raise _no_filling(b, complex_, RING_Z)
-    witness = _witness_chain(result.witness)
+    witness = _witness_chain(result.witness, cells)
     return _certificate(b, complex_, RING_Z, result.value, witness)
 
 

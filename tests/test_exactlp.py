@@ -903,9 +903,9 @@ def test_ilp_from_given_root_skips_only_the_root_solve(problem):
 # -- filling-shaped programs: degenerate, with +-1 column pairs -----------
 
 def _filling_programs():
-    """The filling LP of every circuit of the Z2 k8, S2 k8 and Z3 k5
-    hyperbolicity probes, at the circuit's reach r0 and at r0 + 1, as
-    the probe escalates them.  Unlike the drawn programs above these
+    """The whole filling LP, over every cell, of every circuit of the Z2
+    k8, S2 k8 and Z3 k5 hyperbolicity probes, at the circuit's reach r0
+    and at r0 + 1, as the probe escalates them.  Unlike the drawn programs above these
     are wide (up to 56 x 112 and 52 x 120) and highly degenerate, and column 2c + 1
     is exactly -(column 2c)."""
     from fillprobe.catalog import load
@@ -920,8 +920,9 @@ def _filling_programs():
         for circuit in enumerate_circuits(ball, k_max):
             r0 = max(_circuit_reach(ball, circuit), 1)
             for radius in (r0, r0 + 1):
+                complex_ = get_complex(presentation, rws, radius)
                 program = _filling_program(
-                    circuit.chain, get_complex(presentation, rws, radius))
+                    circuit.chain, complex_, range(complex_.num_cells))
                 if program is not None:
                     programs.append(program)
     return programs

@@ -333,28 +333,33 @@ def test_scaling_law_on_surface_boundaries(surface):
             assert filling_norm_q(b.scaled(r), complex_).value == abs(r) * base.value
 
 
-def _full_row_program(b, complex_):
-    """The filling program with one row per active edge, spanning-forest
-    edges included: the reference for the reduced one."""
+def _full_row_program(b, complex_, cells):
+    """The filling program over the columns of ``cells`` with one row
+    per edge those cells cover, spanning-forest edges included: the
+    reference for the reduced one."""
     covered = set()
-    for col in complex_.d2:
-        covered.update(col)
+    for ci in cells:
+        covered.update(complex_.d2[ci])
     if any(e not in covered for e in b.entries):
         return None
-    row_of = {e: i for i, e in enumerate(sorted(covered | set(b.entries)))}
-    nc = complex_.num_cells
+    row_of = {e: i for i, e in enumerate(sorted(covered))}
     rows = [dict() for _ in row_of]
-    for ci, col in enumerate(complex_.d2):
-        pos, neg = 2 * ci, 2 * ci + 1
-        for e, inc in col.items():
+    for k, ci in enumerate(cells):
+        for e, inc in complex_.d2[ci].items():
             r = rows[row_of[e]]
-            r[pos] = inc
-            r[neg] = -inc
+            r[2 * k] = inc
+            r[2 * k + 1] = -inc
     rhs = [0] * len(row_of)
     for e, coeff in b.entries.items():
         rhs[row_of[e]] = coeff
-    objective = [1] * (2 * nc)
-    return LinearProgram(2 * nc, rows, rhs, objective)
+    objective = [1] * (2 * len(cells))
+    return LinearProgram(2 * len(cells), rows, rhs, objective)
+
+
+def _core(complex_):
+    """The cells that the maximal collapse leaves."""
+    collapsed = {cell for cell, _ in complex_.collapses()}
+    return [cell for cell in range(complex_.num_cells) if cell not in collapsed]
 
 
 # small balls with parallel edges and self-loops (a | a^3, a, b | a)
@@ -416,33 +421,38 @@ def test_forest_rows_dropped_keep_status_and_value(ball_key, steps1, steps2,
     for cell, coeff in cells:
         if complex_.num_cells:
             b = b + Chain(1, complex_.d2[cell % complex_.num_cells]).scaled(coeff)
-    full = _full_row_program(b, complex_)
-    reduced = filling._filling_program(b, complex_)
-    if full is None:
-        assert reduced is None
-        return
-    assert len(reduced.rows) <= len(full.rows)
-    want, got = solve_lp(full), solve_lp(reduced)
-    assert got.status is want.status
-    if got.status is LPStatus.OPTIMAL:
-        assert got.value == want.value
-        # the dropped rows hold at the reduced program's optimum
-        witness = filling._witness_chain(got.witness)
-        assert (complex_.apply_d2(witness) + (-b)).is_zero()
+    # the whole program for b, and the core's program for the cycle
+    # that substitution along the collapse order leaves
+    _, residual = filling._substitute(b, complex_)
+    for rhs, cells in ((b, range(complex_.num_cells)), (residual, _core(complex_))):
+        full = _full_row_program(rhs, complex_, cells)
+        reduced = filling._filling_program(rhs, complex_, cells)
+        if full is None:
+            assert reduced is None
+            continue
+        assert len(reduced.rows) <= len(full.rows)
+        want, got = solve_lp(full), solve_lp(reduced)
+        assert got.status is want.status
+        if got.status is LPStatus.OPTIMAL:
+            assert got.value == want.value
+            # the dropped rows hold at the reduced program's optimum
+            witness = filling._witness_chain(got.witness, cells)
+            assert (complex_.apply_d2(witness) + (-rhs)).is_zero()
 
 
 # --- the collapse path -------------------------------------------------
 
 def _simplex_reference(b, complex_):
-    """The filling program solved by the simplex: (value, witness), or
-    the text of the error that says b has no filling in the ball."""
-    lp = filling._filling_program(b, complex_)
+    """The whole filling program solved by the simplex: (value, witness),
+    or the text of the error that says b has no filling in the ball."""
+    cells = range(complex_.num_cells)
+    lp = filling._filling_program(b, complex_, cells)
     if lp is None:
         return "no filling within this ball (uncovered edge)"
     result = solve_lp(lp)
     if result.status is LPStatus.INFEASIBLE:
         return "no filling within this ball"
-    return result.value, filling._witness_chain(result.witness)
+    return result.value, filling._witness_chain(result.witness, cells)
 
 
 def _sign(x):
@@ -482,28 +492,34 @@ def _boundaries(complex_, seed):
     return [b for b in out if not b.is_zero()]
 
 
-def _collapsible_cases():
+def _differential_cases():
     """The complexes with cells of test_complexes' ball cases and of
-    this module's differential balls that collapse completely."""
+    this module's differential balls (Z3 r4 among them), and two more
+    whose collapse leaves a core: Z3 r3, and the a | a^3, a^6 ball of
+    tests/data/z3_cube_sixth.txt, which has no free edge at all."""
     from test_complexes import _BALL_CASES, _system
     cases = []
-    for source, radius in _BALL_CASES:
+    for source, radius in [*_BALL_CASES, ("Z3", 3)]:
         presentation, rws = _system(source)
         cases.append(attach_cells(build_ball(presentation, rws, radius), presentation))
     cases += [_differential_complex(*key) for key in _DIFFERENTIAL_BALLS]
-    return [c for c in cases if c.num_cells and c.collapses() is not None]
+    cases.append(_differential_complex("a | a^3, a^6", 2, None))
+    return [c for c in cases if c.num_cells]
 
 
 def test_collapse_matches_simplex():
-    cases = _collapsible_cases()
-    # ball cases: S2 r4 and r5, Z2 r9, a,b|a r1-3, S3 r2, a,b|a^2 r1-3
-    # and a,b|ab r3; differential balls: all but Z2 x Z2 with its
-    # commutator cells
-    assert len(cases) == 11 + 9
+    cases = _differential_cases()
+    # 20 collapse completely: the ball cases S2 r4 and r5, Z2 r9,
+    # a,b|a r1-3, S3 r2, a,b|a^2 r1-3 and a,b|ab r3, and the
+    # differential balls but Z2 x Z2 with its commutator cells.  The
+    # cores: all 2 cells of the a^3, a^6 ball, all 8 of S3 r4 and of
+    # Z2 x Z2, 27 of order-16 r3's 31, 36 of Z3 r3's 60 and 132 of
+    # Z3 r4's 168
+    assert sorted(len(_core(c)) for c in cases) == [0] * 20 + [2, 8, 8, 27, 36, 132]
+    assert not cases[-1].collapses()
     swaps_rejected = 0
     for index, complex_ in enumerate(cases):
         order = complex_.collapses()
-        assert sorted(cell for cell, _ in order) == list(range(complex_.num_cells))
         for b in _boundaries(complex_, index):
             want = _simplex_reference(b, complex_)
             if isinstance(want, str):
@@ -512,6 +528,8 @@ def test_collapse_matches_simplex():
                 continue
             cert = filling_norm_q(b, complex_)
             assert (cert.value, cert.witness) == want
+            if _core(complex_):
+                continue
             f = _dual_from_order(complex_, order, cert.witness)
             assert _is_lower_bound_witness(complex_, f, b, cert.value)
             # mutants: f moved on the free edge of a used cell, so that
@@ -545,16 +563,42 @@ def test_collapse_recovers_the_chain_it_bounds(key, entries):
     assert _is_lower_bound_witness(complex_, f, b, c.l1())
 
 
-def test_cube_ball_has_no_collapse_order_and_uses_the_simplex(z3, monkeypatch):
+def test_cube_ball_sends_only_its_core_to_the_simplex(z3, monkeypatch):
     presentation, rws = z3
     complex_ = attach_cells(build_ball(presentation, rws, 3), presentation)
-    assert complex_.collapses() is None
+    assert (len(complex_.collapses()), len(_core(complex_))) == (24, 36)
     calls = []
     solve = filling.solve_lp
     monkeypatch.setattr(filling, "solve_lp", lambda lp: calls.append(lp) or solve(lp))
     loop = word_to_edge_chain(complex_.ball, presentation.word("a b c a^-1 b^-1 c^-1"))
-    assert filling_norm_q(loop, complex_).value == 3
+    q = filling_norm_q(loop, complex_)
+    assert q.value == 3
+    assert [lp.num_vars for lp in calls] == [2 * 36]
+    # the integral norm's branch and bound starts at the rational
+    # optimum, lifted to the whole program; it is integral, so no
+    # program is solved again
+    z = filling_norm_z(loop, complex_)
+    assert (z.value, z.witness) == (q.value, q.witness)
     assert len(calls) == 1
+
+
+def test_partial_collapse_with_a_fractional_forced_cell(z2_r2, z2_square, monkeypatch):
+    # Z2 r2's columns with the first doubled and a copy of the last: the
+    # copies are the core, and the first cell collapses with value 1/2
+    d2 = z2_r2.d2
+    columns = [{e: 2 * v for e, v in d2[0].items()}, *d2[1:], d2[-1]]
+    complex_ = TwoComplex(z2_r2.ball, z2_r2.presentation, [(0, 0)] * len(columns), columns)
+    assert len(complex_.collapses()) == 3 and _core(complex_) == [3, 4]
+    cert = filling_norm_q(z2_square, complex_)
+    assert cert.value == Q(1, 2) and cert.witness == Chain(2, {0: Q(1, 2)})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("branch and bound ran on a fractional forced cell")
+
+    monkeypatch.setattr(filling, "solve_ilp", refuse)
+    for complex_ in (complex_, dataclasses.replace(complex_, relaxations={})):
+        assert _error_text(filling_norm_z, z2_square, complex_) == \
+            "no integral filling within this ball"
 
 
 def test_collapsible_ball_solves_q_without_the_simplex(z2, monkeypatch):
@@ -581,12 +625,13 @@ def test_collapsible_ball_solves_q_without_the_simplex(z2, monkeypatch):
 
 def _variant(complex_, d2):
     """``complex_``'s ball with other cell columns, and the same complex
-    with its collapse order hidden, so that it takes the simplex path."""
+    with its collapse order hidden, so that every cell is in the core
+    and the simplex solves the whole program."""
     cells = [(0, 0)] * len(d2)
     collapsed = TwoComplex(complex_.ball, complex_.presentation, cells, d2)
     simplex = TwoComplex(complex_.ball, complex_.presentation, cells, d2)
-    simplex._collapses = None
-    assert collapsed.collapses() is not None
+    simplex._collapses = []
+    assert not _core(collapsed)
     return collapsed, simplex
 
 
@@ -632,7 +677,7 @@ def test_collapse_path_error_texts(z2_r2, z2_square, kind, q_text, z_text):
 
 
 def test_zero_node_budget_still_raises(z2_r2, z2_square):
-    assert z2_r2.collapses() is not None
+    assert not _core(z2_r2)
     with pytest.raises(NodeBudgetError):
         filling_norm_z(z2_square, z2_r2, node_budget=0)
 
@@ -648,12 +693,12 @@ def test_cycle_check_texts(z2_r2):
 
 def _certificate_case(name, z2, z3):
     """A complex, a boundary on it and its rational certificate: the
-    collapse path on Z2 r2, the simplex path on Z3 r3."""
+    collapse path on Z2 r2, and on Z3 r3 a core the simplex fills."""
     (presentation, rws), radius, word = {
         "z2-collapse": (z2, 2, "a b a^-1 b^-1"),
         "z3-simplex": (z3, 3, "a b c a^-1 b^-1 c^-1")}[name]
     complex_ = attach_cells(build_ball(presentation, rws, radius), presentation)
-    assert (complex_.collapses() is None) == (name == "z3-simplex")
+    assert bool(_core(complex_)) == (name == "z3-simplex")
     loop = word_to_edge_chain(complex_.ball, presentation.word(word))
     return complex_, loop, filling_norm_q(loop, complex_)
 
