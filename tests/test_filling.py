@@ -520,6 +520,7 @@ def test_collapse_matches_simplex():
     swaps_rejected = 0
     for index, complex_ in enumerate(cases):
         order = complex_.collapses()
+        assert len({cell for cell, _ in order}) == len(order)
         for b in _boundaries(complex_, index):
             want = _simplex_reference(b, complex_)
             if isinstance(want, str):
