@@ -38,6 +38,8 @@ from .errors import FillprobeError, NodeBudgetError
 from .rationals import Q, is_integral, qstr
 
 DEFAULT_NODE_BUDGET = 100_000
+# branch-and-bound depth beyond which a node waits (see solve_ilp)
+_DIVE_DEPTH = 64
 
 
 class LPStatus(Enum):
@@ -373,23 +375,36 @@ def solve_ilp(lp: LinearProgram, *,
     budget raises NodeBudgetError carrying the best lower/upper bounds
     known.
 
+    Where the relaxation has a free direction, an integer-infeasible
+    branch can go on forever, each child a little further along the
+    direction.  So a child deeper than ``_DIVE_DEPTH`` waits until every
+    shallower node is done; then the limit doubles and the waiting nodes
+    go on, depth first again.  Every node of finite depth is thus reached
+    in time, the branch leading to any integral point among them.  A
+    search that stays within the limit is plain depth first.
+
     ``root`` is an optimal result of ``lp``'s relaxation, when the caller
     has one: ``solve_lp(lp)``'s, or the rational filling norm's optimum
     lifted to ``lp``'s columns.  Any optimal point of ``lp`` serves,
     basic or not.  The root node then takes it instead of solving ``lp``
     again, and ``pivots`` counts only the pivots of the other nodes.
     """
-    stack = [((), None)]
+    stack = [((), None, 0)]
+    deep = []
+    depth_limit = _DIVE_DEPTH
     incumbent_value = None
     incumbent = None
     nodes = 0
     total_pivots = 0
 
-    while stack:
-        bounds, parent_bound = stack.pop()
+    while stack or deep:
+        if not stack:
+            stack, deep = deep, []
+            depth_limit *= 2
+        bounds, parent_bound, depth = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            open_bounds = [pb for (_, pb) in stack if pb is not None]
+            open_bounds = [pb for (_, pb, _) in stack + deep if pb is not None]
             if parent_bound is not None:
                 open_bounds.append(parent_bound)
             lower_bound = min(open_bounds) if open_bounds else incumbent_value
@@ -424,8 +439,9 @@ def solve_ilp(lp: LinearProgram, *,
             incumbent = {j: v for j, v in enumerate(values) if v}
             continue
         fl = math.floor(values[frac_var])
-        stack.append((_branch(bounds, frac_var, -1, fl + 1), obj))
-        stack.append((_branch(bounds, frac_var, 1, fl), obj))
+        children = deep if depth >= depth_limit else stack
+        children.append((_branch(bounds, frac_var, -1, fl + 1), obj, depth + 1))
+        children.append((_branch(bounds, frac_var, 1, fl), obj, depth + 1))
 
     if incumbent is None:
         return LPResult(LPStatus.INFEASIBLE, pivots=total_pivots)

@@ -792,11 +792,18 @@ def _reference_branch_and_bound(problem, node_budget):
 _GAP = ([{0: Q(1), 1: Q(2)}], [Q(3)], [Q(1), Q(1)], [Q(0)] * 2, [None] * 2)
 _KNAPSACK = ([{j: Q(2 * j + 3) for j in range(8)}], [Q(31)], [Q(1)] * 8,
              [Q(0)] * 8, [None] * 8)
+# integral points only at x5 = 2, x1 = x3 = 0, x0 = 4 x4 - 2; the branch
+# x5 <= 1, x3 <= 0 has none but walks up (4, 0, 0, 0, 1, 0) without end
+_FREE_DIRECTION = (
+    [{0: Q(-1), 1: Q(-1), 3: Q(1), 4: Q(4), 5: Q(-4, 3)}, {0: Q(0)},
+     {0: Q(0)}, {1: Q(1), 3: Q(1), 5: Q(3)}],
+    [Q(-2, 3), Q(0), Q(0), Q(6)], [Q(0)] * 6, [Q(0)] * 6, [None] * 6)
 
 
 @given(bounded_lps())
 @example(_GAP)
 @example(_KNAPSACK)
+@example(_FREE_DIRECTION)
 @settings(max_examples=100, deadline=None)
 def test_ilp_matches_reference_branch_and_bound(problem):
     """Status and value equal the native-bound search's; witnesses may
@@ -807,8 +814,10 @@ def test_ilp_matches_reference_branch_and_bound(problem):
     exhausts the reference's budget and is not compared; ``solve_ilp``
     gets five times that budget, so a search that stops closing its
     branches fails here instead of being skipped.  Pinned: the gap
-    instance (3 nodes) and the knapsack of ``test_ilp_node_budget`` (141
-    nodes on both sides)."""
+    instance (3 nodes), the knapsack of ``test_ilp_node_budget`` (141
+    nodes on both sides) and a program whose depth-first search would
+    follow a free direction forever (the reference's tree ends, and
+    ``solve_ilp`` ends after its deep nodes have waited)."""
     rows, rhs, objective, _, _ = problem
     problem = lp(len(objective), rows, rhs, [abs(c) for c in objective])
     try:
